@@ -3,15 +3,14 @@
 BlendCNN chains same-padded width-5 convolutions and taps a masked global
 max pool "branch" off every layer; the concatenated branches pass through a
 relu dense blend layer and then the logits layer.  KimCNN runs parallel
-convolutions of widths 3/4/5 over the embeddings, pools each, concatenates,
-applies dropout (train mode only) and maps straight to logits.
+convolutions of widths (3, 5, 7) by default over the embeddings, pools each,
+concatenates, applies dropout (train mode only) and maps straight to logits.
 
 Both forwards canonicalize every batch to the model's fixed seq_len, so
 logits are bitwise independent of how many PAD tokens trail an example.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, asdict
 
@@ -123,12 +122,10 @@ class ModelState:
     can be rejected by :func:`backward`.
     """
 
-    def __init__(self, config: ModelConfig, seed: int, params: dict,
-                 embedding_provenance=None):
+    def __init__(self, config: ModelConfig, seed: int, params: dict):
         self.config = config
         self.seed = seed
         self.params = params
-        self.embedding_provenance = embedding_provenance
         self.version = 0
 
     def parameters(self) -> list:
@@ -168,10 +165,8 @@ def init_model(config: ModelConfig, seed: int, embeddings: EmbeddingMatrix = Non
                 f"({config.vocab_size}, {config.embed_dim})"
             )
         table = embeddings.matrix.astype(np.float64).copy()
-        provenance = list(embeddings.provenance)
     else:
         table = rng.uniform(-0.05, 0.05, size=(config.vocab_size, config.embed_dim))
-        provenance = None
     table[PAD_ID] = 0.0
     params["embedding"] = Parameter("embedding", table)
 
@@ -201,7 +196,7 @@ def init_model(config: ModelConfig, seed: int, embeddings: EmbeddingMatrix = Non
     )
     params["logits.b"] = Parameter("logits.b", np.zeros(config.n_classes))
 
-    return ModelState(config, seed, params, embedding_provenance=provenance)
+    return ModelState(config, seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +208,6 @@ class ForwardCache:
     """Everything backward() needs, pinned to one (state version, batch)."""
 
     state_version: int
-    fingerprint: str
     token_ids: np.ndarray
     valid_lens: np.ndarray
     embedded: np.ndarray
@@ -251,13 +245,6 @@ def _canonical_batch(config: ModelConfig, token_ids, valid_lens):
     return ids, lens
 
 
-def _fingerprint(ids: np.ndarray, lens: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(ids.tobytes())
-    digest.update(lens.tobytes())
-    return digest.hexdigest()[:16]
-
-
 def blendcnn_forward(state: ModelState, token_ids, valid_lens):
     """Stacked convs with a pooled branch per layer, blended by a dense layer.
 
@@ -288,7 +275,6 @@ def blendcnn_forward(state: ModelState, token_ids, valid_lens):
 
     cache = ForwardCache(
         state_version=state.version,
-        fingerprint=_fingerprint(ids, lens),
         token_ids=ids,
         valid_lens=lens,
         embedded=embedded,
@@ -303,7 +289,9 @@ def blendcnn_forward(state: ModelState, token_ids, valid_lens):
 
 def kimcnn_forward(state: ModelState, token_ids, valid_lens, train: bool = False,
                    rng: np.random.Generator = None):
-    """Parallel width-3/4/5 convolutions over embeddings, pooled and concatenated.
+    """Parallel convolutions over embeddings, pooled and concatenated.
+
+    One convolution per width in ``config.kernel_widths`` (default 3, 5, 7).
 
     Dropout applies to the concatenated features in train mode only; the mask
     comes from ``rng`` so training is reproducible from the seed.
@@ -339,7 +327,6 @@ def kimcnn_forward(state: ModelState, token_ids, valid_lens, train: bool = False
 
     cache = ForwardCache(
         state_version=state.version,
-        fingerprint=_fingerprint(ids, lens),
         token_ids=ids,
         valid_lens=lens,
         embedded=embedded,
@@ -366,11 +353,12 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
 
 
 def _embedding_grad(state, ids, d_embedded):
-    grad = np.zeros_like(state.param("embedding").value)
+    """Overwrite the embedding's .grad with the scatter-sum of d_embedded."""
+    grad = state.param("embedding").grad
+    grad.fill(0.0)
     flat = ids.reshape(-1)
     np.add.at(grad, flat, d_embedded.reshape(flat.size, -1))
     grad[PAD_ID] = 0.0  # frozen row
-    return grad
 
 
 def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> None:
@@ -382,7 +370,7 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
     if cache.state_version != state.version:
         raise StaleCacheError(
             f"cache from state version {cache.state_version}, "
-            f"state is now {state.version} (batch {cache.fingerprint})"
+            f"state is now {state.version}"
         )
     config = state.config
     seq_len = config.seq_len
@@ -445,7 +433,7 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
             state.param(f"convw{width}.b").grad[...] = db
             d_embedded += d_in
 
-    state.param("embedding").grad[...] = _embedding_grad(state, cache.token_ids, d_embedded)
+    _embedding_grad(state, cache.token_ids, d_embedded)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,17 @@ forward operation here has a matching ``*_backward`` that returns exact
 analytic gradients, and ``grad_check`` validates any composition of them
 against central finite differences.
 
-All functions are pure (no hidden state); ``adam_step`` is the single
-mutating entry point and touches only the Parameter it is given.
+Every function leaves its inputs as it found them and returns fresh
+arrays, except ``adam_step``, which updates its Parameter in place.  The one
+piece of hidden state is a per-thread im2col buffer: ``conv1d`` and
+``conv1d_backward`` fill it in place of a fresh [B*L, K*Cin] array on every
+call (``conv1d_backward`` then reuses it for the column gradients), and it
+only grows.  It is read only inside the call that filled it, so no result
+aliases it and threads never share one.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +48,13 @@ __all__ = [
 # orders, which would break bitwise row-equality for identical batch rows.
 _NARROW_OUT = 16
 
+# adam_step works through each parameter in flat slices of this many
+# elements, so its temporaries stay small however large the parameter is.
+_ADAM_SLICE = 1 << 15
+
+# per-thread im2col buffer shared by conv1d and conv1d_backward
+_scratch = threading.local()
+
 
 class NonFiniteError(ValueError):
     """A NaN or Inf appeared where finite values are required."""
@@ -56,8 +69,9 @@ def require_finite(arr: np.ndarray, what: str) -> None:
 class Parameter:
     """A trainable tensor: value plus gradient buffer and Adam moment state.
 
-    ``value``, ``grad``, ``m`` and ``v`` always share one shape; ``step``
-    counts optimizer updates applied to this parameter.
+    ``value``, ``grad``, ``m`` and ``v`` always share one shape and are
+    stored C-contiguous, so a flat view of each is the array itself;
+    ``step`` counts optimizer updates applied to this parameter.
     """
 
     name: str
@@ -68,19 +82,16 @@ class Parameter:
     step: int = 0
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.m is None:
-            self.m = np.zeros_like(self.value)
-        if self.v is None:
-            self.v = np.zeros_like(self.value)
-        for buf, label in ((self.grad, "grad"), (self.m, "m"), (self.v, "v")):
+        self.value = np.asarray(self.value, dtype=np.float64, order="C")
+        for label in ("grad", "m", "v"):
+            buf = getattr(self, label)
+            buf = np.zeros_like(self.value) if buf is None else np.asarray(buf, order="C")
             if buf.shape != self.value.shape:
                 raise ValueError(
                     f"parameter '{self.name}': {label} shape {buf.shape} "
                     f"!= value shape {self.value.shape}"
                 )
+            setattr(self, label, buf)
 
     @property
     def size(self) -> int:
@@ -135,15 +146,30 @@ def affine_backward(x, w, dout):
 
 
 def _conv_cols(x: np.ndarray, width: int) -> np.ndarray:
-    """im2col for same-padded 1-D convolution.
+    """im2col for same-padded 1-D convolution, in this thread's buffer.
 
-    x: [B, L, Cin] -> [B, L, K, Cin] windows, zero padding outside [0, L).
+    x: [B, L, Cin] -> [B*L, K*Cin] float64 rows of the windows
+    cols[b*L + t, k*Cin + c] = x[b, t + k - (K-1)/2, c], zero outside [0, L).
+    The result is a view of the buffer and is overwritten by the next call
+    on this thread.
     """
+    batch, length, c_in = x.shape
+    size = batch * length * width * c_in
+    buf = getattr(_scratch, "cols", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.cols = np.empty(size)
+    cols = buf[:size].reshape(batch, length, width, c_in)
     pad = (width - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    # sliding_window_view puts the window axis last: [B, L, Cin, K]
-    win = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)
-    return np.ascontiguousarray(win.transpose(0, 1, 3, 2))
+    for k in range(width):
+        # slot k of row t reads x[t + shift]; rows outside [lo, hi) read
+        # padding (lo == hi when the kernel is wider than the sequence)
+        shift = k - pad
+        lo = min(max(0, -shift), length)
+        hi = max(min(length, length - shift), lo)
+        cols[:, :lo, k] = 0.0
+        cols[:, hi:, k] = 0.0
+        cols[:, lo:hi, k] = x[:, lo + shift : hi + shift]
+    return cols.reshape(batch * length, width * c_in)
 
 
 def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -171,8 +197,9 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (c_out,):
         raise ValueError(f"conv1d: bias shape {bias.shape}, expected ({c_out},)")
     batch, length = xb.shape[0], xb.shape[1]
-    cols = _conv_cols(xb, width).reshape(batch * length, width * c_in)
-    out = cols @ kernels.reshape(width * c_in, c_out) + bias
+    cols = _conv_cols(xb, width)
+    out = cols @ kernels.reshape(width * c_in, c_out)
+    out += bias
     out = out.reshape(batch, length, c_out)
     return out[0] if single else out
 
@@ -189,12 +216,13 @@ def conv1d_backward(x, kernels, dout):
     batch, length = xb.shape[0], xb.shape[1]
     pad = (width - 1) // 2
 
-    cols = _conv_cols(xb, width).reshape(batch * length, width * c_in)
+    cols = _conv_cols(xb, width)
     dflat = db.reshape(batch * length, c_out)
     dkernels = (cols.T @ dflat).reshape(width, c_in, c_out)
     dbias = dflat.sum(axis=0)
 
-    dcols = (dflat @ kernels.reshape(width * c_in, c_out).T).reshape(
+    # the columns are not read again, so their buffer takes their gradient
+    dcols = np.matmul(dflat, kernels.reshape(width * c_in, c_out).T, out=cols).reshape(
         batch, length, width, c_in
     )
     dxp = np.zeros((batch, length + 2 * pad, c_in))
@@ -304,19 +332,41 @@ def adam_step(p: Parameter, cfg: AdamConfig) -> Parameter:
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         value <- value - lr * m_hat / (sqrt(v_hat) + eps)
 
-    Raises NonFiniteError (naming the parameter) on a NaN/Inf gradient.
+    Updates in place, over flat slices of ``_ADAM_SLICE`` elements, with
+    slice-sized scratch buffers: nothing full-size is allocated, and every
+    element goes through the same operations in the same order as the
+    whole-array formula, so the result is bitwise the same.
+
+    Raises NonFiniteError (naming the parameter) on a NaN/Inf gradient,
+    before anything is written.
     """
-    if not np.all(np.isfinite(p.grad)):
-        raise NonFiniteError(f"non-finite gradient for parameter '{p.name}'")
+    arrays = (p.value, p.grad, p.m, p.v)
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise ValueError(f"parameter '{p.name}': buffers must be C-contiguous")
+    value, grad, m, v = (a.reshape(-1) for a in arrays)
+    slices = [slice(i, i + _ADAM_SLICE) for i in range(0, value.size, _ADAM_SLICE)]
+    n = min(value.size, _ADAM_SLICE)
+    flags = np.empty(n, dtype=bool)
+    for s in slices:
+        g = grad[s]
+        if not np.isfinite(g, out=flags[: g.size]).all():
+            raise NonFiniteError(f"non-finite gradient for parameter '{p.name}'")
     p.step += 1
-    p.m *= cfg.beta1
-    p.m += (1.0 - cfg.beta1) * p.grad
-    p.v *= cfg.beta2
-    p.v += (1.0 - cfg.beta2) * np.square(p.grad)
-    m_hat = p.m / (1.0 - cfg.beta1**p.step)
-    v_hat = p.v / (1.0 - cfg.beta2**p.step)
-    p.value -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    p.grad[...] = 0.0
+    b1, b2 = cfg.beta1, cfg.beta2
+    c1, c2 = 1.0 - b1**p.step, 1.0 - b2**p.step
+    num, den = np.empty(n), np.empty(n)
+    for s in slices:
+        g, ms, vs = grad[s], m[s], v[s]
+        a, b = num[: g.size], den[: g.size]
+        ms *= b1
+        ms += np.multiply(1.0 - b1, g, out=a)
+        vs *= b2
+        vs += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
+        np.multiply(cfg.lr, np.divide(ms, c1, out=a), out=a)
+        np.sqrt(np.divide(vs, c2, out=b), out=b)
+        b += cfg.eps
+        value[s] -= np.divide(a, b, out=a)
+        g[...] = 0.0
     return p
 
 

@@ -255,6 +255,21 @@ class TestBackward:
             state.bump_version()
         np.testing.assert_array_equal(state.param("embedding").value[PAD_ID], np.zeros(8))
 
+    @pytest.mark.parametrize("kind", ["blendcnn", "kimcnn"])
+    def test_backward_overwrites_and_does_not_accumulate(self, kind):
+        cfg = tiny_config(kind=kind)
+        state = init_model(cfg, seed=19)
+        rng = np.random.default_rng(20)
+        ids, lens = random_batch(rng, cfg, 3)
+        logits, cache = forward(state, ids, lens, train=True, rng=rng)
+        dlogits = rng.normal(size=logits.shape)
+        backward(state, cache, dlogits)
+        first = {p.name: p.grad.copy() for p in state.parameters()}
+        backward(state, cache, dlogits)
+        for p in state.parameters():
+            assert np.any(first[p.name] != 0.0), p.name
+            assert np.array_equal(p.grad, first[p.name]), p.name
+
     def test_stale_cache_rejected(self):
         cfg = tiny_config()
         state = init_model(cfg, seed=17)

@@ -1,7 +1,11 @@
 """Numeric core against hand-rolled oracles and finite differences."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from blendcnn import numerics
 from blendcnn.numerics import (
     AdamConfig,
     NonFiniteError,
@@ -160,6 +164,56 @@ class TestConv1d:
         assert rel_err(dk, fd_grad(loss, k)) < 1e-5
         assert rel_err(db, fd_grad(loss, b)) < 1e-5
 
+    def test_scratch_buffer_never_leaks_into_a_result(self):
+        rng = np.random.default_rng(7)
+        big_x = rng.normal(size=(4, 16, 6))
+        big_k = rng.normal(size=(7, 6, 5))
+        # grow this thread's buffer first, so every call below reuses it
+        conv1d(big_x, big_k, np.zeros(5))
+        x = rng.normal(size=(2, 5, 3))
+        k = rng.normal(size=(3, 3, 2))
+        out = conv1d(x, k, rng.normal(size=2))
+        grads = conv1d_backward(x, k, np.ones_like(out))
+        kept = [out.copy()] + [g.copy() for g in grads]
+        big_out = conv1d(big_x, big_k, np.zeros(5))
+        conv1d_backward(big_x, big_k, big_out)
+        for before, now in zip(kept, [out, *grads]):
+            np.testing.assert_array_equal(now, before)
+
+    def test_threads_reproduce_single_thread_results(self):
+        rng = np.random.default_rng(8)
+        # big enough that each GEMM releases the GIL while another thread
+        # fills its own buffer
+        jobs = [
+            (rng.normal(size=(4, 48, 24)), rng.normal(size=(5, 24, 16)), rng.normal(size=16)),
+            (rng.normal(size=(3, 64, 20)), rng.normal(size=(3, 20, 12)), rng.normal(size=12)),
+            (rng.normal(size=(2, 40, 16)), rng.normal(size=(7, 16, 8)), rng.normal(size=8)),
+        ]
+        want = [conv1d(*job) for job in jobs]
+        start = threading.Barrier(len(jobs))
+        got = [[] for _ in jobs]
+
+        def run(slot):
+            start.wait()
+            for _ in range(200):
+                got[slot].append(conv1d(*jobs[slot]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for slot, outs in enumerate(got):
+            assert len(outs) == 200
+            for out in outs:
+                np.testing.assert_array_equal(out, want[slot])
+
 
 class TestReluAndPool:
     def test_relu_basics(self):
@@ -271,7 +325,70 @@ class TestSoftmaxAndLosses:
             mae_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+def textbook_adam(value, grad, m, v, step, cfg):
+    """The whole-array Adam update, on copies: (value, grad, m, v, step)."""
+    value, m, v = value.copy(), m.copy(), v.copy()
+    step += 1
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * np.square(grad)
+    m_hat = m / (1.0 - cfg.beta1**step)
+    v_hat = v / (1.0 - cfg.beta2**step)
+    value -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return value, np.zeros_like(grad), m, v, step
+
+
+def adam_fields(p):
+    return p.value, p.grad, p.m, p.v, p.step
+
+
 class TestAdam:
+    @pytest.mark.parametrize("size", [1, numerics._ADAM_SLICE, 3 * numerics._ADAM_SLICE + 17])
+    def test_bitwise_equal_to_whole_array_update(self, size):
+        rng = np.random.default_rng(30)
+        cfg = AdamConfig(lr=1e-2)
+        p = Parameter("w", rng.normal(size=size))
+        want = (p.value.copy(), p.grad.copy(), p.m.copy(), p.v.copy(), 0)
+        for _ in range(5):
+            # sparse gradient: most entries zero, as for embedding rows
+            grad = rng.normal(size=size) * (rng.random(size) < 0.1)
+            p.grad[...] = grad
+            value, _, m, v, step = want
+            want = textbook_adam(value, grad, m, v, step, cfg)
+            adam_step(p, cfg)
+            for got, expected in zip(adam_fields(p), want):
+                assert np.array_equal(got, expected)
+
+    def test_nonfinite_grad_leaves_state_unchanged(self):
+        rng = np.random.default_rng(31)
+        size = 3 * numerics._ADAM_SLICE + 17
+        p = Parameter("w", rng.normal(size=size))
+        p.grad[...] = rng.normal(size=size)
+        adam_step(p, AdamConfig())
+        # the bad entry sits in the last slice, after three clean ones
+        p.grad[...] = rng.normal(size=size)
+        p.grad[-1] = np.inf
+        before, step = [f.copy() for f in (p.value, p.m, p.v)], p.step
+        with pytest.raises(NonFiniteError):
+            adam_step(p, AdamConfig())
+        for got, expected in zip((p.value, p.m, p.v), before):
+            assert np.array_equal(got, expected)
+        assert p.step == step
+
+    def test_non_contiguous_value_still_moves(self):
+        value = np.arange(6.0).reshape(2, 3).T
+        assert not value.flags.c_contiguous
+        cfg = AdamConfig(lr=1e-2)
+        p = Parameter("w", value)
+        p.grad[...] = 1.0
+        want = textbook_adam(value, np.ones_like(value), np.zeros_like(value),
+                             np.zeros_like(value), 0, cfg)
+        adam_step(p, cfg)
+        assert not np.array_equal(p.value, value)
+        for got, expected in zip(adam_fields(p), want):
+            assert np.array_equal(got, expected)
+
     def test_matches_scalar_recurrence(self):
         rng = np.random.default_rng(15)
         cfg = AdamConfig(lr=1e-3)
