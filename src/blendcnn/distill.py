@@ -139,10 +139,6 @@ class RunLedger:
     def train_losses(self) -> list:
         return [e.train_loss for e in self.entries]
 
-    @property
-    def eval_accuracies(self) -> list:
-        return [e.eval_accuracy for e in self.entries]
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,

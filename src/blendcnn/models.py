@@ -1,17 +1,21 @@
 """BlendCNN and KimCNN students: init, forward, backward, counting, checkpoints.
 
-BlendCNN chains same-padded width-5 convolutions and taps a masked global
-max pool "branch" off every layer; the concatenated branches pass through a
-relu dense blend layer and then the logits layer.  KimCNN runs parallel
-convolutions of widths (3, 5, 7) by default over the embeddings, pools each,
-concatenates, applies dropout (train mode only) and maps straight to logits.
+Both are one pipeline: embed, conv stages (conv, relu, masked global max
+pool), concat the pooled stages, a head, then the logits layer.  BlendCNN's
+same-padded width-5 stages each read the stage before, and its head is a
+relu dense blend layer.  KimCNN's stages, one per width in ``kernel_widths``
+(default 3, 5, 7), all read the embeddings, and its head is dropout in train
+mode only.  ``_param_shapes`` is the one table of parameter names and shapes.
+KimCNN's per-stage embedding gradients are summed in forward stage order:
+float addition does not associate, so the order fixes the trained bits.
 
-Both forwards canonicalize every batch to the model's fixed seq_len, so
+The forward canonicalizes every batch to the model's fixed seq_len, so
 logits are bitwise independent of how many PAD tokens trail an example.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,8 +41,6 @@ __all__ = [
     "CheckpointError",
     "init_model",
     "forward",
-    "blendcnn_forward",
-    "kimcnn_forward",
     "backward",
     "param_count",
     "save_checkpoint",
@@ -96,6 +98,11 @@ class ModelConfig:
         if self.kernel_width % 2 == 0:
             raise ValueError(f"kernel_width must be odd, got {self.kernel_width}")
         object.__setattr__(self, "kernel_widths", tuple(self.kernel_widths))
+        if not self.kernel_widths or len(set(self.kernel_widths)) != len(self.kernel_widths):
+            # each width names one parameter block, convw{K}
+            raise ValueError(
+                f"kernel widths must be distinct and non-empty, got {self.kernel_widths}"
+            )
         for width in self.kernel_widths:
             if width < 1 or width % 2 == 0:
                 raise ValueError(f"kernel widths must be odd and positive, got {width}")
@@ -103,16 +110,11 @@ class ModelConfig:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kernel_widths"] = list(self.kernel_widths)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "kernel_widths" in d:
-            d["kernel_widths"] = tuple(d["kernel_widths"])
-        return cls(**d)
+        return cls(**d)  # __post_init__ turns a JSON kernel_widths list into a tuple
 
 
 class ModelState:
@@ -138,15 +140,37 @@ class ModelState:
         self.version += 1
 
 
-def _glorot(rng, fan_in, fan_out, shape):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+def _param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every parameter, in creation (and RNG draw) order.
 
-
-def _conv_param_names(config: ModelConfig):
+    The one description of a model's layout: the conv stages (BlendCNN's
+    ``conv1..convN`` each read the stage before, KimCNN's ``convw{K}`` all
+    read the embedding), BlendCNN's blend layer, and the logits layer.
+    """
+    n_ch = config.n_channels
+    shapes = {"embedding": (config.vocab_size, config.embed_dim)}
     if config.kind == BLENDCNN:
-        return [(f"conv{i + 1}", config.kernel_width) for i in range(config.n_layers)]
-    return [(f"convw{width}", width) for width in config.kernel_widths]
+        stages = [(f"conv{i + 1}", config.kernel_width, n_ch if i else config.embed_dim)
+                  for i in range(config.n_layers)]
+    else:
+        stages = [(f"convw{width}", width, config.embed_dim) for width in config.kernel_widths]
+    for name, width, c_in in stages:
+        shapes[f"{name}.w"] = (width, c_in, n_ch)
+        shapes[f"{name}.b"] = (n_ch,)
+    features = len(stages) * n_ch
+    if config.kind == BLENDCNN:
+        shapes["blend.w"] = (features, config.dense_width)
+        shapes["blend.b"] = (config.dense_width,)
+        features = config.dense_width
+    shapes["logits.w"] = (features, config.n_classes)
+    shapes["logits.b"] = (config.n_classes,)
+    return shapes
+
+
+def _conv_stages(config: ModelConfig) -> list:
+    """Block names of the conv stages, in forward order."""
+    return [name[:-2] for name in _param_shapes(config)
+            if name.startswith("conv") and name.endswith(".w")]
 
 
 def init_model(config: ModelConfig, seed: int, embeddings: EmbeddingMatrix = None) -> ModelState:
@@ -157,45 +181,25 @@ def init_model(config: ModelConfig, seed: int, embeddings: EmbeddingMatrix = Non
     """
     rng = np.random.default_rng(seed)
     params = {}
-
-    if embeddings is not None:
-        if embeddings.matrix.shape != (config.vocab_size, config.embed_dim):
-            raise ValueError(
-                f"embedding matrix {embeddings.matrix.shape} does not match config "
-                f"({config.vocab_size}, {config.embed_dim})"
-            )
-        table = embeddings.matrix.astype(np.float64).copy()
-    else:
-        table = rng.uniform(-0.05, 0.05, size=(config.vocab_size, config.embed_dim))
-    table[PAD_ID] = 0.0
-    params["embedding"] = Parameter("embedding", table)
-
-    c_in = config.embed_dim
-    for name, width in _conv_param_names(config):
-        fan_in = width * c_in
-        fan_out = width * config.n_channels
-        params[f"{name}.w"] = Parameter(
-            f"{name}.w", _glorot(rng, fan_in, fan_out, (width, c_in, config.n_channels))
-        )
-        params[f"{name}.b"] = Parameter(f"{name}.b", np.zeros(config.n_channels))
-        if config.kind == BLENDCNN:
-            c_in = config.n_channels
-
-    if config.kind == BLENDCNN:
-        concat = config.n_layers * config.n_channels
-        params["blend.w"] = Parameter(
-            "blend.w", _glorot(rng, concat, config.dense_width, (concat, config.dense_width))
-        )
-        params["blend.b"] = Parameter("blend.b", np.zeros(config.dense_width))
-        logits_in = config.dense_width
-    else:
-        logits_in = len(config.kernel_widths) * config.n_channels
-
-    params["logits.w"] = Parameter(
-        "logits.w", _glorot(rng, logits_in, config.n_classes, (logits_in, config.n_classes))
-    )
-    params["logits.b"] = Parameter("logits.b", np.zeros(config.n_classes))
-
+    for name, shape in _param_shapes(config).items():
+        if name == "embedding":
+            if embeddings is None:
+                value = rng.uniform(-0.05, 0.05, size=shape)
+            elif embeddings.matrix.shape != shape:
+                raise ValueError(
+                    f"embedding matrix {embeddings.matrix.shape} does not match config {shape}"
+                )
+            else:
+                value = embeddings.matrix.astype(np.float64).copy()
+            value[PAD_ID] = 0.0
+        elif name.endswith(".w"):
+            # Glorot fans of a [K, in, out] conv kernel or an [in, out] matrix
+            receptive = math.prod(shape[:-2])
+            bound = np.sqrt(6.0 / (receptive * shape[-2] + receptive * shape[-1]))
+            value = rng.uniform(-bound, bound, size=shape)
+        else:
+            value = np.zeros(shape)
+        params[name] = Parameter(name, value)
     return ModelState(config, seed, params)
 
 
@@ -209,15 +213,12 @@ class ForwardCache:
 
     state_version: int
     token_ids: np.ndarray
-    valid_lens: np.ndarray
     embedded: np.ndarray
     conv_outputs: list
     pool_argmax: list
     concat: np.ndarray
-    logits: np.ndarray
-    blend_hidden: np.ndarray = None
+    features: np.ndarray  # the logits layer's input
     dropout_mask: np.ndarray = None
-    dropout_keep: float = 1.0
 
 
 def _canonical_batch(config: ModelConfig, token_ids, valid_lens):
@@ -245,78 +246,43 @@ def _canonical_batch(config: ModelConfig, token_ids, valid_lens):
     return ids, lens
 
 
-def blendcnn_forward(state: ModelState, token_ids, valid_lens):
-    """Stacked convs with a pooled branch per layer, blended by a dense layer.
+def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
+            rng: np.random.Generator = None):
+    """Embed, run the conv stages, pool and concat each, then apply the head.
+
+    BlendCNN feeds each stage from the one before and blends the concat with
+    a relu dense layer; KimCNN feeds every stage from the embedding and, in
+    train mode only, applies dropout to the concat with a mask drawn from
+    ``rng``.  BlendCNN draws nothing from ``rng``.
 
     Returns (logits [B, C], ForwardCache).
     """
     config = state.config
+    chained = config.kind == BLENDCNN
     ids, lens = _canonical_batch(config, token_ids, valid_lens)
     embedded = state.param("embedding").value[ids]
 
     conv_outputs = []
     branches = []
     argmaxes = []
-    current = embedded
-    for i in range(config.n_layers):
-        z = conv1d(current, state.param(f"conv{i + 1}.w").value,
-                   state.param(f"conv{i + 1}.b").value)
+    x = embedded
+    for name in _conv_stages(config):
+        z = conv1d(x, state.param(f"{name}.w").value, state.param(f"{name}.b").value)
         h = relu(z)
         pooled, argmax = masked_max_pool(h, lens)
         conv_outputs.append(h)
         branches.append(pooled)
         argmaxes.append(argmax)
-        current = h
-
-    concat = np.concatenate(branches, axis=1)
-    blend_pre = affine(concat, state.param("blend.w").value, state.param("blend.b").value)
-    blend_hidden = relu(blend_pre)
-    logits = affine(blend_hidden, state.param("logits.w").value, state.param("logits.b").value)
-
-    cache = ForwardCache(
-        state_version=state.version,
-        token_ids=ids,
-        valid_lens=lens,
-        embedded=embedded,
-        conv_outputs=conv_outputs,
-        pool_argmax=argmaxes,
-        concat=concat,
-        logits=logits,
-        blend_hidden=blend_hidden,
-    )
-    return logits, cache
-
-
-def kimcnn_forward(state: ModelState, token_ids, valid_lens, train: bool = False,
-                   rng: np.random.Generator = None):
-    """Parallel convolutions over embeddings, pooled and concatenated.
-
-    One convolution per width in ``config.kernel_widths`` (default 3, 5, 7).
-
-    Dropout applies to the concatenated features in train mode only; the mask
-    comes from ``rng`` so training is reproducible from the seed.
-    """
-    config = state.config
-    ids, lens = _canonical_batch(config, token_ids, valid_lens)
-    embedded = state.param("embedding").value[ids]
-
-    conv_outputs = []
-    branches = []
-    argmaxes = []
-    for width in config.kernel_widths:
-        z = conv1d(embedded, state.param(f"convw{width}.w").value,
-                   state.param(f"convw{width}.b").value)
-        h = relu(z)
-        pooled, argmax = masked_max_pool(h, lens)
-        conv_outputs.append(h)
-        branches.append(pooled)
-        argmaxes.append(argmax)
+        if chained:
+            x = h
 
     concat = np.concatenate(branches, axis=1)
     features = concat
     mask = None
-    keep = 1.0
-    if train and config.dropout > 0.0:
+    if chained:
+        features = relu(affine(concat, state.param("blend.w").value,
+                               state.param("blend.b").value))
+    elif train and config.dropout > 0.0:
         if rng is None:
             raise ValueError("train-mode KimCNN forward needs an rng for dropout")
         keep = 1.0 - config.dropout
@@ -324,28 +290,17 @@ def kimcnn_forward(state: ModelState, token_ids, valid_lens, train: bool = False
         features = concat * mask / keep
 
     logits = affine(features, state.param("logits.w").value, state.param("logits.b").value)
-
     cache = ForwardCache(
         state_version=state.version,
         token_ids=ids,
-        valid_lens=lens,
         embedded=embedded,
         conv_outputs=conv_outputs,
         pool_argmax=argmaxes,
         concat=concat,
-        logits=logits,
+        features=features,
         dropout_mask=mask,
-        dropout_keep=keep,
     )
     return logits, cache
-
-
-def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
-            rng: np.random.Generator = None):
-    """Dispatch to the architecture named by the state's config."""
-    if state.config.kind == BLENDCNN:
-        return blendcnn_forward(state, token_ids, valid_lens)
-    return kimcnn_forward(state, token_ids, valid_lens, train=train, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +319,9 @@ def _embedding_grad(state, ids, d_embedded):
 def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> None:
     """Write exact gradients for every parameter into their .grad buffers.
 
-    Overwrites (does not accumulate) so each step starts clean.  Raises
-    StaleCacheError if the optimizer has stepped since the forward pass.
+    Mirrors :func:`forward`: the logits layer, the head, then the conv stages
+    in reverse.  Overwrites (does not accumulate) so each step starts clean.
+    Raises StaleCacheError if the optimizer has stepped since the forward pass.
     """
     if cache.state_version != state.version:
         raise StaleCacheError(
@@ -373,67 +329,51 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
             f"state is now {state.version}"
         )
     config = state.config
-    seq_len = config.seq_len
+    chained = config.kind == BLENDCNN
 
-    if config.kind == BLENDCNN:
-        d_hidden, dw, db = affine_backward(
-            cache.blend_hidden, state.param("logits.w").value, dlogits
-        )
-        state.param("logits.w").grad[...] = dw
-        state.param("logits.b").grad[...] = db
-
-        d_blend_pre = relu_backward(cache.blend_hidden, d_hidden)
+    d_features, dw, db = affine_backward(
+        cache.features, state.param("logits.w").value, dlogits
+    )
+    state.param("logits.w").grad[...] = dw
+    state.param("logits.b").grad[...] = db
+    if chained:
+        d_blend_pre = relu_backward(cache.features, d_features)
         d_concat, dw, db = affine_backward(
             cache.concat, state.param("blend.w").value, d_blend_pre
         )
         state.param("blend.w").grad[...] = dw
         state.param("blend.b").grad[...] = db
-
-        n_ch = config.n_channels
-        d_next = None  # gradient flowing into layer i+1's input
-        for i in reversed(range(config.n_layers)):
-            d_branch = d_concat[:, i * n_ch : (i + 1) * n_ch]
-            d_h = max_pool_backward(cache.pool_argmax[i], seq_len, d_branch)
-            if d_next is not None:
-                d_h = d_h + d_next
-            d_z = relu_backward(cache.conv_outputs[i], d_h)
-            layer_input = cache.embedded if i == 0 else cache.conv_outputs[i - 1]
-            d_in, dw, db = conv1d_backward(
-                layer_input, state.param(f"conv{i + 1}.w").value, d_z
-            )
-            state.param(f"conv{i + 1}.w").grad[...] = dw
-            state.param(f"conv{i + 1}.b").grad[...] = db
-            d_next = d_in
-        d_embedded = d_next
+    elif cache.dropout_mask is not None:
+        d_concat = d_features * cache.dropout_mask / (1.0 - config.dropout)
     else:
-        if cache.dropout_mask is not None:
-            features = cache.concat * cache.dropout_mask / cache.dropout_keep
-        else:
-            features = cache.concat
-        d_features, dw, db = affine_backward(
-            features, state.param("logits.w").value, dlogits
-        )
-        state.param("logits.w").grad[...] = dw
-        state.param("logits.b").grad[...] = db
-        if cache.dropout_mask is not None:
-            d_concat = d_features * cache.dropout_mask / cache.dropout_keep
-        else:
-            d_concat = d_features
+        d_concat = d_features
 
-        n_ch = config.n_channels
-        d_embedded = np.zeros_like(cache.embedded)
-        for slot, width in enumerate(config.kernel_widths):
-            d_branch = d_concat[:, slot * n_ch : (slot + 1) * n_ch]
-            d_h = max_pool_backward(cache.pool_argmax[slot], seq_len, d_branch)
-            d_z = relu_backward(cache.conv_outputs[slot], d_h)
-            d_in, dw, db = conv1d_backward(
-                cache.embedded, state.param(f"convw{width}.w").value, d_z
-            )
-            state.param(f"convw{width}.w").grad[...] = dw
-            state.param(f"convw{width}.b").grad[...] = db
-            d_embedded += d_in
+    n_ch = config.n_channels
+    stages = _conv_stages(config)
+    d_next = None  # BlendCNN: gradient reaching stage i's output through stage i+1
+    d_embedded = []  # per stage that reads the embedding, last stage first
+    for i in reversed(range(len(stages))):
+        d_branch = d_concat[:, i * n_ch : (i + 1) * n_ch]
+        d_h = max_pool_backward(cache.pool_argmax[i], config.seq_len, d_branch)
+        if d_next is not None:
+            d_h = d_h + d_next
+        d_z = relu_backward(cache.conv_outputs[i], d_h)
+        reads_previous = chained and i > 0
+        x = cache.conv_outputs[i - 1] if reads_previous else cache.embedded
+        d_x, dw, db = conv1d_backward(x, state.param(f"{stages[i]}.w").value, d_z)
+        state.param(f"{stages[i]}.w").grad[...] = dw
+        state.param(f"{stages[i]}.b").grad[...] = db
+        if reads_previous:
+            d_next = d_x
+        else:
+            d_embedded.append(d_x)
 
-    _embedding_grad(state, cache.token_ids, d_embedded)
+    # Sum in forward stage order, (d_w3 + d_w5) + d_w7: float addition does not
+    # associate, and the reverse order changes the bits of every trained model.
+    total = d_embedded.pop()
+    while d_embedded:
+        total = total + d_embedded.pop()
+    _embedding_grad(state, cache.token_ids, total)
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +386,10 @@ def param_count(config: ModelConfig):
     Matches the runtime enumeration of Parameter elements exactly (the PAD
     embedding row is counted even though it never updates).
     """
-    breakdown = {"embedding": config.vocab_size * config.embed_dim}
-    c_in = config.embed_dim
-    for name, width in _conv_param_names(config):
-        breakdown[name] = width * c_in * config.n_channels + config.n_channels
-        if config.kind == BLENDCNN:
-            c_in = config.n_channels
-    if config.kind == BLENDCNN:
-        concat = config.n_layers * config.n_channels
-        breakdown["blend"] = concat * config.dense_width + config.dense_width
-        logits_in = config.dense_width
-    else:
-        logits_in = len(config.kernel_widths) * config.n_channels
-    breakdown["logits"] = logits_in * config.n_classes + config.n_classes
+    breakdown = {}
+    for name, shape in _param_shapes(config).items():
+        block = name.split(".")[0]
+        breakdown[block] = breakdown.get(block, 0) + math.prod(shape)
     return sum(breakdown.values()), breakdown
 
 
@@ -527,6 +458,18 @@ def load_checkpoint(path) -> ModelState:
     config = ModelConfig.from_dict(header["config"])
     payload = blob[16 + header_len :]
 
+    expected = _param_shapes(config)
+    stored = {entry["name"]: tuple(entry["shape"]) for entry in header["params"]}
+    problems = [f"missing {name}" for name in expected if name not in stored]
+    problems += [f"unexpected {name}" for name in stored if name not in expected]
+    problems += [
+        f"{name} has shape {shape}, config needs {expected[name]}"
+        for name, shape in stored.items()
+        if name in expected and shape != expected[name]
+    ]
+    if problems:
+        raise CheckpointError(f"{path}: parameters do not match config: " + "; ".join(problems))
+
     params = {}
     for entry in header["params"]:
         start, nbytes = entry["offset"], entry["nbytes"]
@@ -537,8 +480,4 @@ def load_checkpoint(path) -> ModelState:
         ).reshape(entry["shape"])
         params[entry["name"]] = Parameter(entry["name"], arr)
 
-    expected = {name for name, _ in _conv_param_names(config)}
-    for block in expected:
-        if f"{block}.w" not in params:
-            raise CheckpointError(f"{path}: parameter block {block}.w missing for config")
     return ModelState(config, header["seed"], params)

@@ -31,7 +31,6 @@ __all__ = [
     "conv1d_backward",
     "relu",
     "relu_backward",
-    "global_max_pool",
     "masked_max_pool",
     "max_pool_backward",
     "softmax",
@@ -58,11 +57,6 @@ _scratch = threading.local()
 
 class NonFiniteError(ValueError):
     """A NaN or Inf appeared where finite values are required."""
-
-
-def require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {what}")
 
 
 @dataclass
@@ -239,15 +233,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(x, dout):
     """dout masked to the positions where relu(x) passed its input through."""
     return dout * (x > 0.0)
-
-
-def global_max_pool(x: np.ndarray, valid_len: int) -> np.ndarray:
-    """Max over the first ``valid_len`` positions of x[L, C] -> [C]."""
-    if x.ndim != 2:
-        raise ValueError(f"global_max_pool expects [L, C], got {x.shape}")
-    if not 1 <= valid_len <= x.shape[0]:
-        raise ValueError(f"valid_len must be in [1, {x.shape[0]}], got {valid_len}")
-    return x[:valid_len].max(axis=0)
 
 
 def masked_max_pool(x: np.ndarray, valid_lens: np.ndarray):

@@ -182,6 +182,18 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "vocab_size" in proc.stderr
 
+    def test_checkpoint_missing_a_parameter_is_config_error(self, pipeline, tmp_path):
+        from blendcnn.models import load_checkpoint, save_checkpoint
+        state = load_checkpoint(pipeline / "teacher" / "model.ckpt")
+        del state.params["blend.w"]
+        save_checkpoint(state, tmp_path / "broken.ckpt")
+        proc = run_cli(["eval",
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", "data.checkpoint=broken.ckpt",
+                        "--set", f"data.test_csv={pipeline}/test.csv"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "missing blend.w" in proc.stderr
+
     def test_exploding_training_is_numeric_error(self, pipeline, tmp_path):
         # one enormous step overflows the forward pass; the next gradient
         # is non-finite and training must abort, not save garbage

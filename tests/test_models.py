@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from blendcnn.numerics import AdamConfig, adam_step, cross_entropy, cross_entropy_backward, grad_check
+from blendcnn.numerics import (
+    AdamConfig,
+    Parameter,
+    adam_step,
+    cross_entropy,
+    cross_entropy_backward,
+    grad_check,
+)
+from blendcnn import models
 from blendcnn.models import (
     CheckpointError,
     ModelConfig,
@@ -43,6 +51,13 @@ class TestConfig:
             tiny_config(kernel_width=4)
         with pytest.raises(ValueError, match="odd"):
             tiny_config(kernel_widths=(3, 4, 5))
+
+    def test_rejects_repeated_or_no_kernel_widths(self):
+        # each width names one parameter block, so a repeat would share weights
+        with pytest.raises(ValueError, match="distinct"):
+            tiny_config(kind="kimcnn", kernel_widths=(3, 5, 3))
+        with pytest.raises(ValueError, match="non-empty"):
+            tiny_config(kind="kimcnn", kernel_widths=())
 
     def test_rejects_dropout_one(self):
         with pytest.raises(ValueError):
@@ -181,6 +196,18 @@ class TestDropout:
         eval_logits, _ = forward(state, ids, lens)
         assert np.array_equal(train_logits, eval_logits)
 
+    def test_blendcnn_train_mode_draws_nothing(self):
+        # BlendCNN has no dropout, whatever the config's dropout says
+        state = init_model(tiny_config(dropout=0.5), seed=0)
+        ids, lens = random_batch(np.random.default_rng(4), state.config, 3)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        train_logits, cache = forward(state, ids, lens, train=True, rng=rng)
+        assert rng.bit_generator.state == before
+        assert cache.dropout_mask is None
+        eval_logits, _ = forward(state, ids, lens)
+        assert np.array_equal(train_logits, eval_logits)
+
     def test_masks_differ_across_draws(self):
         state = init_model(tiny_config(kind="kimcnn", dropout=0.5), seed=0)
         ids, lens = random_batch(np.random.default_rng(2), state.config, 4)
@@ -270,6 +297,26 @@ class TestBackward:
             assert np.any(first[p.name] != 0.0), p.name
             assert np.array_equal(p.grad, first[p.name]), p.name
 
+    def test_kimcnn_sums_embedding_grads_in_forward_stage_order(self, monkeypatch):
+        # stage inputs get gradients 1, 1e-16, 1e-16: (1 + 1e-16) + 1e-16 == 1
+        # exactly, while summing in any other order rounds up past 1
+        real = models.conv1d_backward
+
+        def constant_dx(x, w, dout):
+            d_x, dw, db = real(x, w, dout)
+            return np.full_like(d_x, 1.0 if w.shape[0] == 3 else 1e-16), dw, db
+
+        monkeypatch.setattr(models, "conv1d_backward", constant_dx)
+        cfg = tiny_config(kind="kimcnn", kernel_widths=(3, 5, 7))
+        state = init_model(cfg, seed=27)
+        ids, lens = random_batch(np.random.default_rng(28), cfg, 3)
+        logits, cache = forward(state, ids, lens)
+        backward(state, cache, np.ones_like(logits))
+        counts = np.bincount(cache.token_ids.ravel(), minlength=cfg.vocab_size)
+        counts[PAD_ID] = 0
+        grad = state.param("embedding").grad
+        np.testing.assert_array_equal(grad, np.repeat(counts[:, None], cfg.embed_dim, axis=1))
+
     def test_stale_cache_rejected(self):
         cfg = tiny_config()
         state = init_model(cfg, seed=17)
@@ -344,4 +391,31 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path, edit):
+        state = init_model(tiny_config(), seed=26)
+        edit(state.params)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        return path
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda params: params.pop("blend.w"))
+        with pytest.raises(CheckpointError, match="missing blend.w"):
+            load_checkpoint(path)
+
+    def test_extra_parameter_rejected(self, tmp_path):
+        def add(params):
+            params["conv9.w"] = Parameter("conv9.w", np.zeros((5, 6, 6)))
+        path = self._saved(tmp_path, add)
+        with pytest.raises(CheckpointError, match="unexpected conv9.w"):
+            load_checkpoint(path)
+
+    def test_misshapen_parameter_rejected(self, tmp_path):
+        def widen(params):
+            params["logits.b"] = Parameter("logits.b", np.zeros(4))
+        path = self._saved(tmp_path, widen)
+        with pytest.raises(CheckpointError, match=r"logits.b has shape \(4,\)"):
             load_checkpoint(path)

@@ -17,7 +17,6 @@ from blendcnn.numerics import (
     conv1d_backward,
     cross_entropy,
     cross_entropy_backward,
-    global_max_pool,
     grad_check,
     mae_loss,
     mae_loss_backward,
@@ -25,7 +24,6 @@ from blendcnn.numerics import (
     max_pool_backward,
     relu,
     relu_backward,
-    require_finite,
     softmax,
 )
 
@@ -33,6 +31,15 @@ from blendcnn.numerics import (
 def rel_err(a, b):
     return np.max(np.abs(a - b) / np.maximum.reduce([np.abs(a), np.abs(b),
                                                       np.full_like(a, 1e-8)]))
+
+
+def global_max_pool(x: np.ndarray, valid_len: int) -> np.ndarray:
+    """Oracle for masked_max_pool: max over the first valid_len rows of x[L, C]."""
+    if x.ndim != 2:
+        raise ValueError(f"global_max_pool expects [L, C], got {x.shape}")
+    if not 1 <= valid_len <= x.shape[0]:
+        raise ValueError(f"valid_len must be in [1, {x.shape[0]}], got {valid_len}")
+    return x[:valid_len].max(axis=0)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -460,9 +467,3 @@ class TestGradCheck:
         assert not report.passes(1e-4)
         assert report.worst_param == "broken"
         assert report.per_param["good"] < 1e-6
-
-
-def test_require_finite():
-    require_finite(np.ones(3), "x")
-    with pytest.raises(NonFiniteError, match="bad"):
-        require_finite(np.array([np.inf]), "bad")
