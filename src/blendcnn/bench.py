@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelConfig, ModelState, forward
-from .text import encode_dataset
 
 __all__ = [
     "PAPER_REPORTED",
@@ -144,19 +143,13 @@ def _warm_up(predict, batches, min_batches: int) -> None:
 
 
 def measure_throughput(model, dataset, config: ThroughputConfig = ThroughputConfig(),
-                       vocab=None, seq_len: int = None,
                        model_name: str = None) -> ThroughputResult:
     """Median-of-repetitions eval throughput on a seeded sample of ``dataset``.
 
-    ``dataset`` is either a list of encoded Examples or raw (id, text, label)
-    rows together with ``vocab`` and ``seq_len``.  Encoding and sample
-    selection run before any timing; the timed section is forward passes
-    alone.  Raises if the dataset is smaller than ``config.n_samples``.
+    ``dataset`` is a list of encoded Examples.  Sample selection runs before
+    any timing; the timed section is forward passes alone.  Raises if the
+    dataset is smaller than ``config.n_samples``.
     """
-    if vocab is not None:
-        if seq_len is None:
-            raise ValueError("raw rows need both vocab and seq_len")
-        dataset = encode_dataset(dataset, vocab, seq_len)
     if len(dataset) < config.n_samples:
         raise ValueError(
             f"dataset too small: {len(dataset)} examples < n_samples={config.n_samples}"

@@ -3,8 +3,15 @@
 Seven subcommands cover the pipeline: build-vocab, train, infer-logits,
 distill, eval, bench, param-count.  Configuration is a flat JSON object
 with dotted keys ("model.n_layers": 3); repeatable --set KEY=VALUE flags
-override the file.  Every run writes the merged effective config into its
-output directory, so a run can be reproduced from its artifacts alone.
+override the file.  The model.*, train.* and bench.* keys are the fields of
+ModelConfig, TrainConfig and ThroughputConfig, with their defaults, except
+that model.kind is "blendcnn", model.n_classes is 4 and model.vocab_size is
+0 (the loaded vocabulary's size); the data.* keys name inputs and CSV
+columns.  Each value is converted to the type of its key's default when the
+config loads, and a value that does not convert is a config error.  Every
+run writes the merged config, as converted (--set train.lr=1 is recorded as
+1.0), into its output directory, so a run can be reproduced from its
+artifacts alone.
 
 Exit codes: 0 ok, 2 usage, 3 io, 4 config, 5 numeric (NaN/Inf abort).
 """
@@ -14,8 +21,7 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import MISSING, fields, replace
 
 from .numerics import NonFiniteError
 from .models import (
@@ -55,25 +61,19 @@ class ConfigError(Exception):
     """Bad key, bad value, or config/artifact mismatch."""
 
 
+_SECTIONS = {
+    "model": ModelConfig,
+    "train": distill_mod.TrainConfig,
+    "bench": bench_mod.ThroughputConfig,
+}
+
 _DEFAULTS = {
+    **{f"{name}.{f.name}": f.default
+       for name, cls in _SECTIONS.items() for f in fields(cls) if f.default is not MISSING},
+    # the library leaves kind and n_classes open; vocab_size 0 = the loaded vocabulary's size
     "model.kind": "blendcnn",
     "model.n_classes": 4,
-    "model.seq_len": 128,
-    "model.vocab_size": 0,  # 0 = size of the loaded vocabulary
-    "model.embed_dim": 100,
-    "model.n_layers": 3,
-    "model.n_channels": 100,
-    "model.kernel_width": 5,
-    "model.kernel_widths": [3, 5, 7],
-    "model.dense_width": 100,
-    "model.dropout": 0.5,
-    "train.mode": "direct_ce",
-    "train.alpha": 0.0,
-    "train.batch_size": 32,
-    "train.epochs": 10,
-    "train.seed": 0,
-    "train.lr": 1e-3,
-    "train.unlabeled_ratio": 10.0,
+    "model.vocab_size": 0,
     "data.train_csv": None,
     "data.test_csv": None,
     "data.eval_csv": None,
@@ -85,20 +85,33 @@ _DEFAULTS = {
     "data.embeddings": None,
     "data.vocab_cap": 20000,
     "data.label_col": 0,
-    "data.text_cols": [1, 2],
+    "data.text_cols": (1, 2),
     "data.label_base": 1,
     "data.labeled_per_class": 0,  # 0 = keep every row
     "data.split_seed": 17,
-    "bench.n_samples": 1000,
-    "bench.batch_size": 32,
-    "bench.repetitions": 5,
-    "bench.warmup_batches": 2,
-    "bench.seed": 0,
 }
 
 
+def _coerce(key, value):
+    """``value`` as the type of the key's default; a path (None default) is kept as is."""
+    default = _DEFAULTS[key]
+    if default is None:
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key}: a path must be a string, got {value!r}")
+        return value
+    try:
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise TypeError("not a list")
+            return tuple(int(v) for v in value)
+        return type(default)(value)
+    except (TypeError, ValueError) as exc:
+        want = "a list of ints" if isinstance(default, tuple) else type(default).__name__
+        raise ConfigError(f"{key}: cannot read {value!r} as {want} ({exc})") from exc
+
+
 def load_config(config_path, overrides) -> dict:
-    """Defaults <- JSON file <- --set flags, validating every key."""
+    """Defaults <- JSON file <- --set flags, checking every key and value."""
     cfg = dict(_DEFAULTS)
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
@@ -111,7 +124,7 @@ def load_config(config_path, overrides) -> dict:
         for key, value in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
-            cfg[key] = value
+            cfg[key] = _coerce(key, value)
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -119,9 +132,10 @@ def load_config(config_path, overrides) -> dict:
         if key not in cfg:
             raise ConfigError(f"--set: unknown config key {key!r}")
         try:
-            cfg[key] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            cfg[key] = raw  # bare strings need no quotes
+            value = raw  # bare strings need no quotes
+        cfg[key] = _coerce(key, value)
     return cfg
 
 
@@ -149,14 +163,24 @@ def _echo_config(cfg, out_dir) -> None:
 
 def _schema(cfg) -> CsvSchema:
     return CsvSchema(
-        label_col=int(cfg["data.label_col"]),
-        text_cols=tuple(int(c) for c in cfg["data.text_cols"]),
-        label_base=int(cfg["data.label_base"]),
+        label_col=cfg["data.label_col"],
+        text_cols=cfg["data.text_cols"],
+        label_base=cfg["data.label_base"],
     )
 
 
+def _section(cfg, name, **given):
+    """The ``name`` section's dataclass from its dotted keys; ``given`` wins."""
+    cls = _SECTIONS[name]
+    values = {f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)}
+    try:
+        return cls(**{**values, **given})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _model_config(cfg, vocab: Vocabulary = None) -> ModelConfig:
-    vocab_size = int(cfg["model.vocab_size"])
+    vocab_size = cfg["model.vocab_size"]
     if vocab_size == 0:
         if vocab is None:
             raise ConfigError(
@@ -169,37 +193,7 @@ def _model_config(cfg, vocab: Vocabulary = None) -> ModelConfig:
             f"model.vocab_size {vocab_size} does not match the vocabulary "
             f"({len(vocab)} tokens)"
         )
-    try:
-        return ModelConfig(
-            kind=cfg["model.kind"],
-            n_classes=int(cfg["model.n_classes"]),
-            seq_len=int(cfg["model.seq_len"]),
-            vocab_size=vocab_size,
-            embed_dim=int(cfg["model.embed_dim"]),
-            n_layers=int(cfg["model.n_layers"]),
-            n_channels=int(cfg["model.n_channels"]),
-            kernel_width=int(cfg["model.kernel_width"]),
-            kernel_widths=tuple(int(w) for w in cfg["model.kernel_widths"]),
-            dense_width=int(cfg["model.dense_width"]),
-            dropout=float(cfg["model.dropout"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _train_config(cfg, mode=None) -> distill_mod.TrainConfig:
-    try:
-        return distill_mod.TrainConfig(
-            mode=mode or cfg["train.mode"],
-            alpha=float(cfg["train.alpha"]),
-            batch_size=int(cfg["train.batch_size"]),
-            epochs=int(cfg["train.epochs"]),
-            seed=int(cfg["train.seed"]),
-            lr=float(cfg["train.lr"]),
-            unlabeled_ratio=float(cfg["train.unlabeled_ratio"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _section(cfg, "model", vocab_size=vocab_size)
 
 
 def _load_vocab(cfg) -> Vocabulary:
@@ -223,11 +217,17 @@ def _encoded(cfg, csv_key, vocab, seq_len, drop_labels=False):
     return encode_dataset(rows, vocab, seq_len)
 
 
+def _train_rows(cfg):
+    """data.train_csv, cut to data.labeled_per_class rows per class if that is set."""
+    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
+    if cfg["data.labeled_per_class"] > 0:
+        rows, _ = stratified_sample(rows, cfg["data.labeled_per_class"],
+                                    cfg["data.split_seed"])
+    return rows
+
+
 def _maybe_eval_set(cfg, vocab, seq_len):
-    if cfg["data.eval_csv"]:
-        rows = load_csv_dataset(cfg["data.eval_csv"], _schema(cfg))
-        return encode_dataset(rows, vocab, seq_len)
-    return None
+    return _encoded(cfg, "data.eval_csv", vocab, seq_len) if cfg["data.eval_csv"] else None
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def _maybe_eval_set(cfg, vocab, seq_len):
 def _cmd_build_vocab(cfg, out_dir) -> int:
     rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
     vocab = build_vocab((tokenize(text) for _, text, _ in rows),
-                        cap=int(cfg["data.vocab_cap"]))
+                        cap=cfg["data.vocab_cap"])
     path = os.path.join(out_dir, "vocab.tsv")
     vocab.save(path)
     print(f"vocabulary: {len(vocab)} tokens ({len(rows)} rows) -> {path}")
@@ -257,12 +257,8 @@ def _finish_training(state, ledger, out_dir) -> None:
 def _cmd_train(cfg, out_dir) -> int:
     vocab = _load_vocab(cfg)
     model_cfg = _model_config(cfg, vocab)
-    train_cfg = _train_config(cfg, mode=distill_mod.DIRECT_CE)
-    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
-    per_class = int(cfg["data.labeled_per_class"])
-    if per_class > 0:
-        rows, _ = stratified_sample(rows, per_class, int(cfg["data.split_seed"]))
-    examples = encode_dataset(rows, vocab, model_cfg.seq_len)
+    train_cfg = _section(cfg, "train", mode=distill_mod.DIRECT_CE)
+    examples = encode_dataset(_train_rows(cfg), vocab, model_cfg.seq_len)
     embeddings = None
     if cfg["data.embeddings"]:
         embeddings = load_glove(cfg["data.embeddings"], vocab,
@@ -281,8 +277,7 @@ def _cmd_infer_logits(cfg, out_dir) -> int:
     vocab = _load_vocab(cfg)
     state = _checkpoint_for(cfg, vocab)
     examples = _encoded(cfg, "data.input_csv", vocab, state.config.seq_len)
-    records = distill_mod.infer_logits(state, examples,
-                                       batch_size=int(cfg["train.batch_size"]))
+    records = distill_mod.infer_logits(state, examples, batch_size=cfg["train.batch_size"])
     path = os.path.join(out_dir, "logits.jsonl")
     distill_mod.write_logit_records(path, records)
     print(f"logits for {len(records)} examples -> {path}")
@@ -295,14 +290,10 @@ def _cmd_distill(cfg, out_dir) -> int:
     mode = cfg["train.mode"]
     if mode == distill_mod.DIRECT_CE:
         mode = distill_mod.DISTILL_MAE  # distill never runs plain CE
-    train_cfg = _train_config(cfg, mode=mode)
+    train_cfg = _section(cfg, "train", mode=mode)
     records = distill_mod.read_logit_records(_require(cfg, "data.logits"))
 
-    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
-    per_class = int(cfg["data.labeled_per_class"])
-    if per_class > 0:
-        rows, _ = stratified_sample(rows, per_class, int(cfg["data.split_seed"]))
-    labeled = encode_dataset(rows, vocab, model_cfg.seq_len)
+    labeled = encode_dataset(_train_rows(cfg), vocab, model_cfg.seq_len)
     unlabeled = []
     if cfg["data.unlabeled_csv"]:
         unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len,
@@ -324,10 +315,8 @@ def _cmd_eval(cfg, out_dir) -> int:
     vocab = _load_vocab(cfg)
     state = _checkpoint_for(cfg, vocab)
     test = _encoded(cfg, "data.test_csv", vocab, state.config.seq_len)
-    result = distill_mod.evaluate(state, test, batch_size=int(cfg["train.batch_size"]))
-    pred_path = os.path.join(out_dir, "predictions.csv")
-    distill_mod.dump_predictions(pred_path, state, test,
-                                 batch_size=int(cfg["train.batch_size"]))
+    result = distill_mod.dump_predictions(os.path.join(out_dir, "predictions.csv"), state,
+                                          test, batch_size=cfg["train.batch_size"])
     with open(os.path.join(out_dir, "eval.json"), "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -342,40 +331,34 @@ def _cmd_eval(cfg, out_dir) -> int:
     return EXIT_OK
 
 
-def _bench_dataset(cfg, n_needed):
+def _bench_dataset(cfg, bench_cfg):
     """Rows + vocabulary for timing: supplied CSV or a synthetic stand-in."""
     if cfg["data.test_csv"]:
         vocab = _load_vocab(cfg)
         rows = load_csv_dataset(cfg["data.test_csv"], _schema(cfg))
         return rows, vocab
-    n_classes = int(cfg["model.n_classes"])
+    n_classes = cfg["model.n_classes"]
     spec = synthetic.CorpusSpec(n_classes=n_classes)
-    docs = synthetic.generate_docs(-(-n_needed // n_classes), int(cfg["bench.seed"]), spec)
+    docs = synthetic.generate_docs(-(-bench_cfg.n_samples // n_classes), bench_cfg.seed, spec)
     rows = synthetic.docs_to_rows(docs)
-    vocab = build_vocab((tokenize(t) for _, t, _ in rows), cap=int(cfg["data.vocab_cap"]))
+    vocab = build_vocab((tokenize(t) for _, t, _ in rows), cap=cfg["data.vocab_cap"])
     return rows, vocab
 
 
 def _cmd_bench(cfg, out_dir) -> int:
-    bench_cfg = bench_mod.ThroughputConfig(
-        n_samples=int(cfg["bench.n_samples"]),
-        batch_size=int(cfg["bench.batch_size"]),
-        repetitions=int(cfg["bench.repetitions"]),
-        warmup_batches=int(cfg["bench.warmup_batches"]),
-        seed=int(cfg["bench.seed"]),
-    )
-    rows, vocab = _bench_dataset(cfg, bench_cfg.n_samples)
+    bench_cfg = _section(cfg, "bench")
+    rows, vocab = _bench_dataset(cfg, bench_cfg)
 
     if cfg["data.checkpoint"]:
         states = [_checkpoint_for(cfg, vocab)]
     else:
         base = _model_config(cfg, vocab)
         trio = [
-            ModelConfig.from_dict({**base.to_dict(), "kind": "blendcnn", "n_layers": 3}),
-            ModelConfig.from_dict({**base.to_dict(), "kind": "blendcnn", "n_layers": 8}),
-            ModelConfig.from_dict({**base.to_dict(), "kind": "kimcnn"}),
+            replace(base, kind="blendcnn", n_layers=3),
+            replace(base, kind="blendcnn", n_layers=8),
+            replace(base, kind="kimcnn"),
         ]
-        states = [init_model(mc, int(cfg["bench.seed"])) for mc in trio]
+        states = [init_model(mc, bench_cfg.seed) for mc in trio]
 
     dataset = encode_dataset(rows, vocab, states[0].config.seq_len)
     results = bench_mod.measure_many(states, dataset, bench_cfg)

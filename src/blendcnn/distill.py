@@ -19,7 +19,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,15 +97,7 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "lr": self.lr,
-            "unlabeled_ratio": self.unlabeled_ratio,
-        }
+        return asdict(self)
 
 
 def config_hash(model_config: ModelConfig, train_config: TrainConfig) -> str:
@@ -202,17 +194,21 @@ def _batch_slices(n, batch_size):
 # inference and the logit exchange
 
 
+def _eval_logits(state: ModelState, examples, batch_size: int) -> np.ndarray:
+    """Eval-mode logits [N, C] in example order, one forward per ``batch_size`` examples."""
+    ids, lens = _stack_ids(examples)
+    logits = np.empty((len(examples), state.config.n_classes))
+    for sl in _batch_slices(len(examples), batch_size):
+        logits[sl] = forward(state, ids[sl], lens[sl])[0]
+    return logits
+
+
 def infer_logits(state: ModelState, examples, batch_size: int = 32) -> list:
     """Eval-mode logits for every example, order preserved; deterministic."""
-    records = []
     if not examples:
-        return records
-    ids, lens = _stack_ids(examples)
-    for sl in _batch_slices(len(examples), batch_size):
-        logits, _ = forward(state, ids[sl], lens[sl])
-        for ex, row in zip(examples[sl], logits):
-            records.append(LogitRecord(example_id=ex.id, logits=row.copy()))
-    return records
+        return []
+    logits = _eval_logits(state, examples, batch_size)
+    return [LogitRecord(example_id=ex.id, logits=row) for ex, row in zip(examples, logits)]
 
 
 def write_logit_records(path, records) -> None:
@@ -365,39 +361,31 @@ class EvalResult:
     accuracy: float
     confusion: np.ndarray  # [gold, predicted]
     n_examples: int
+    predictions: np.ndarray  # predicted class per example, in test-set order
 
 
 def evaluate(state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
     """Accuracy and per-class confusion; argmax ties go to the lowest class."""
     if not test_set:
         raise ValueError("evaluate needs a non-empty labeled test set")
-    ids, lens = _stack_ids(test_set)
     labels = _stack_labels(test_set)
+    preds = _eval_logits(state, test_set, batch_size).argmax(axis=1)
     n_classes = state.config.n_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    correct = 0
-    for sl in _batch_slices(len(test_set), batch_size):
-        logits, _ = forward(state, ids[sl], lens[sl])
-        preds = logits.argmax(axis=1)
-        gold = labels[sl]
-        correct += int((preds == gold).sum())
-        np.add.at(confusion, (gold, preds), 1)
-    return EvalResult(accuracy=correct / len(test_set), confusion=confusion,
-                      n_examples=len(test_set))
+    np.add.at(confusion, (labels, preds), 1)
+    return EvalResult(accuracy=int((preds == labels).sum()) / len(test_set),
+                      confusion=confusion, n_examples=len(test_set), predictions=preds)
 
 
-def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) -> None:
-    """Write "id,predicted,gold" CSV rows for an independent recount."""
-    ids, lens = _stack_ids(test_set)
-    labels = _stack_labels(test_set)
+def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
+    """Evaluate once and write "id,predicted,gold" CSV rows for an independent recount."""
+    result = evaluate(state, test_set, batch_size=batch_size)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "predicted", "gold"])
-        for sl in _batch_slices(len(test_set), batch_size):
-            logits, _ = forward(state, ids[sl], lens[sl])
-            preds = logits.argmax(axis=1)
-            for ex, pred, gold in zip(test_set[sl], preds, labels[sl]):
-                writer.writerow([ex.id, int(pred), int(gold)])
+        for ex, pred in zip(test_set, result.predictions):
+            writer.writerow([ex.id, int(pred), int(ex.label)])
+    return result
 
 
 def recount_predictions(path) -> float:

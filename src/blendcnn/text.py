@@ -61,9 +61,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_for(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
@@ -157,14 +154,9 @@ def encode_dataset(rows, vocab: Vocabulary, seq_len: int) -> list:
 # ---------------------------------------------------------------------------
 # embeddings
 
-PROVENANCE_FROZEN = "frozen-zero"
-PROVENANCE_PRETRAINED = "pretrained"
-PROVENANCE_RANDOM = "random-init"
-
-
 @dataclass
 class EmbeddingMatrix:
-    """[vocab_size, embed_dim] embedding table with per-row provenance.
+    """[vocab_size, embed_dim] embedding table.
 
     Row 0 (PAD) is all-zero and stays frozen; every other row is trainable.
     ``coverage`` is the fraction of non-reserved vocabulary tokens found in
@@ -172,7 +164,6 @@ class EmbeddingMatrix:
     """
 
     matrix: np.ndarray
-    provenance: list
     coverage: float
 
 
@@ -188,8 +179,6 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
     size = len(vocab)
     matrix = rng.uniform(-0.05, 0.05, size=(size, embed_dim))
     matrix[PAD_ID] = 0.0
-    provenance = [PROVENANCE_RANDOM] * size
-    provenance[PAD_ID] = PROVENANCE_FROZEN
 
     seen = set()
     with open(path, encoding="utf-8") as fh:
@@ -210,12 +199,11 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
                 raise ValueError(f"{path}:{line_no}: non-numeric embedding value") from exc
             idx = vocab.token_to_id[token]
             matrix[idx] = vec
-            provenance[idx] = PROVENANCE_PRETRAINED
             seen.add(token)
 
     n_real = size - 2
     coverage = len(seen) / n_real if n_real else 0.0
-    return EmbeddingMatrix(matrix=matrix, provenance=provenance, coverage=coverage)
+    return EmbeddingMatrix(matrix=matrix, coverage=coverage)
 
 
 # ---------------------------------------------------------------------------

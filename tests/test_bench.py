@@ -16,7 +16,7 @@ from blendcnn.bench import (
     report,
 )
 from blendcnn.models import ModelConfig, init_model
-from blendcnn.text import Example, build_vocab, encode_dataset, tokenize
+from blendcnn.text import Example
 
 
 def busy_wait(seconds):
@@ -121,26 +121,6 @@ class TestMeasureThroughput:
         measure_throughput(recorder_stub(seen_c), data, cfg2)
         assert any(not np.array_equal(a, c) for a, c in zip(seen_a, seen_c))
 
-    def test_raw_rows_encode_to_the_same_batches(self):
-        rows = [(f"r:{i}", f"market rally tokyo stocks day {i}", 1)
-                for i in range(40)]
-        vocab = build_vocab((tokenize(t) for _, t, _ in rows), cap=100)
-        pre = encode_dataset(rows, vocab, seq_len=12)
-        cfg = ThroughputConfig(n_samples=24, batch_size=8, repetitions=1,
-                               warmup_batches=0, seed=4)
-        seen_raw, seen_pre = [], []
-        measure_throughput(recorder_stub(seen_raw), rows, cfg, vocab=vocab, seq_len=12)
-        measure_throughput(recorder_stub(seen_pre), pre, cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(seen_raw, seen_pre))
-
-    def test_raw_rows_without_seq_len_raise(self):
-        rows = [("r:0", "some text", 0)] * 5
-        vocab = build_vocab([["some", "text"]], cap=10)
-        with pytest.raises(ValueError, match="seq_len"):
-            measure_throughput(delay_stub(0.0), rows,
-                               ThroughputConfig(n_samples=4, repetitions=1),
-                               vocab=vocab)
-
     def test_rejects_non_model(self):
         with pytest.raises(TypeError, match="ModelState or callable"):
             measure_throughput(42, encoded_examples(5),
@@ -153,15 +133,16 @@ class TestMeasureThroughput:
                              dense_width=16)
         state = init_model(config, seed=0)
         data = encoded_examples(512, seq_len=24, seed=2)
-        # median of 11 damps scheduler jitter enough for a 10% bound
-        base = ThroughputConfig(n_samples=128, batch_size=32, repetitions=11,
-                                warmup_batches=2, seed=0)
-        doubled = ThroughputConfig(n_samples=256, batch_size=32, repetitions=11,
-                                   warmup_batches=2, seed=0)
-        r1 = measure_throughput(state, data, base)
-        r2 = measure_throughput(state, data, doubled)
-        hi = max(r1.sentences_per_second, r2.sentences_per_second)
-        assert abs(r1.sentences_per_second - r2.sentences_per_second) <= 0.10 * hi
+        # median of 11 damps scheduler jitter enough for a 10% bound; the two
+        # sizes alternate (ABABAB) so that host drift reaches both sides alike
+        rates = {128: [], 256: []}
+        for _ in range(3):
+            for n_samples, side in rates.items():
+                cfg = ThroughputConfig(n_samples=n_samples, batch_size=32,
+                                       repetitions=11, warmup_batches=2, seed=0)
+                side.append(measure_throughput(state, data, cfg).sentences_per_second)
+        r1, r2 = (float(np.median(side)) for side in rates.values())
+        assert abs(r1 - r2) <= 0.10 * max(r1, r2)
 
     def test_warmup_waits_out_a_slow_start(self):
         """A stub 5x slower for its first 20 calls is timed at its steady rate."""

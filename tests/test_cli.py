@@ -161,6 +161,21 @@ class TestExitCodes:
         proc = run_cli(["param-count", "--config", "cfg.json"], tmp_path)
         assert proc.returncode == 4
 
+    # a valid vocab_size, so that its own check cannot stand in for the bad value
+    @pytest.mark.parametrize("args", [
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.n_layers=null"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.kernel_widths=5"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "data.text_cols=3"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.n_layers=abc"],
+        ["bench", "--set", "bench.n_samples=null"],
+        ["build-vocab", "--set", "data.train_csv=5"],
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, args):
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_no_subcommand_is_usage_error(self, tmp_path):
         assert run_cli([], tmp_path).returncode == 2
 
@@ -205,6 +220,26 @@ class TestExitCodes:
         assert proc.returncode == 5
         assert "numeric error" in proc.stderr
         assert "non-finite gradient" in proc.stderr
+
+
+class TestEval:
+    def test_eval_runs_the_model_once(self, pipeline, tmp_path, monkeypatch):
+        from blendcnn import cli, distill
+        calls = []
+        forward = distill.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "forward", counting_forward)
+        code = cli.main(["eval", "--set", "train.batch_size=4",
+                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                         "--set", f"data.checkpoint={pipeline}/student/model.ckpt",
+                         "--set", f"data.test_csv={pipeline}/test.csv",
+                         "--out", str(tmp_path / "eval_out")])
+        assert code == 0
+        assert len(calls) == -(-18 // 4)  # one forward per batch of the 18 test rows
 
 
 class TestParamCount:

@@ -269,10 +269,12 @@ class TestEvaluate:
                                 TrainConfig(epochs=5, batch_size=8, seed=50))
         want = evaluate(state, examples).accuracy
         path = tmp_path / "predictions.csv"
-        dump_predictions(path, state, examples)
+        result = dump_predictions(path, state, examples)
+        assert result.accuracy == want
         assert recount_predictions(path) == pytest.approx(want)
-        header = path.read_text().splitlines()[0]
-        assert header == "id,predicted,gold"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "id,predicted,gold"
+        assert [int(ln.split(",")[1]) for ln in lines[1:]] == result.predictions.tolist()
 
 
 class TestSurrogateTeacher:

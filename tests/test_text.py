@@ -54,8 +54,8 @@ class TestVocabulary:
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab([["a"]], cap=3)
         assert vocab.id_for("nope") == UNK_ID
-        assert vocab.token_for(PAD_ID) == PAD_TOKEN
-        assert vocab.token_for(UNK_ID) == UNK_TOKEN
+        assert vocab.id_to_token[PAD_ID] == PAD_TOKEN
+        assert vocab.id_to_token[UNK_ID] == UNK_TOKEN
 
     def test_cap_below_reserved_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestEncode:
 
     def test_reencoding_decoded_ids_is_stable(self, vocab):
         ids, valid = encode(["a", "nope", "c"], vocab, 5)
-        tokens = [vocab.token_for(i) for i in ids[:valid]]
+        tokens = [vocab.id_to_token[i] for i in ids[:valid]]
         ids2, valid2 = encode(tokens, vocab, 5)
         np.testing.assert_array_equal(ids, ids2)
         assert valid == valid2
