@@ -8,7 +8,7 @@ sentences per second.
 """
 import numpy as np
 
-from blendcnn.bench import ThroughputConfig, measure_many, model_display_name, report
+from blendcnn.bench import ThroughputConfig, measure_throughput, model_display_name, report
 from blendcnn.models import ModelConfig, init_model, param_count
 from blendcnn.synthetic import docs_to_rows, generate_docs
 from blendcnn.text import build_vocab, encode_dataset, tokenize
@@ -28,7 +28,7 @@ states = [init_model(c, seed=0) for c in configs]
 dataset = encode_dataset(rows, vocab, 32)
 timing = ThroughputConfig(n_samples=512, batch_size=32, repetitions=5,
                           warmup_batches=2, seed=0)
-results = measure_many(states, dataset, timing)
+results = [measure_throughput(s, dataset, timing) for s in states]
 
 counts = {model_display_name(c): param_count(c)[0] for c in configs}
 rep = report(results, counts, include_reference_only=True)

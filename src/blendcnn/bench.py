@@ -37,10 +37,8 @@ __all__ = [
     "ThroughputResult",
     "model_display_name",
     "measure_throughput",
-    "measure_many",
     "BenchReport",
     "report",
-    "parse_report_csv",
 ]
 
 # (total parameters, sentences per second) as published; K-80-era numbers on
@@ -73,8 +71,6 @@ class ThroughputConfig:
 @dataclass
 class ThroughputResult:
     model_name: str
-    n_samples: int
-    batch_size: int
     wall_seconds: float  # median over repetitions
     sentences_per_second: float
     hardware_note: str
@@ -180,18 +176,11 @@ def measure_throughput(model, dataset, config: ThroughputConfig = ThroughputConf
     wall = float(np.median(rep_seconds))
     return ThroughputResult(
         model_name=model_name,
-        n_samples=config.n_samples,
-        batch_size=config.batch_size,
         wall_seconds=wall,
         sentences_per_second=config.n_samples / wall,
         hardware_note=_hardware_note(),
         rep_seconds=rep_seconds,
     )
-
-
-def measure_many(models, dataset, config: ThroughputConfig = ThroughputConfig()) -> list:
-    """Queue several models through the same seeded sample, one at a time."""
-    return [measure_throughput(m, dataset, config) for m in models]
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +267,3 @@ def report(results, counts, include_reference_only: bool = False) -> BenchReport
         ])
     return BenchReport(rows=rows, text=text, csv=buf.getvalue())
 
-
-def parse_report_csv(csv_text: str) -> list:
-    """Inverse of the CSV side of report(); returns the rows tuples."""
-    reader = csv.reader(io.StringIO(csv_text))
-    header = next(reader)
-    if header != _CSV_COLUMNS:
-        raise ValueError(f"unexpected report header: {header}")
-    rows = []
-    for rec in reader:
-        name, p, s, rp, rs = rec
-        rows.append((
-            name,
-            int(p) if p else None,
-            float(s) if s else None,
-            int(rp) if rp else None,
-            float(rs) if rs else None,
-        ))
-    return rows

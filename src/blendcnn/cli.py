@@ -8,10 +8,11 @@ ModelConfig, TrainConfig and ThroughputConfig, with their defaults, except
 that model.kind is "blendcnn", model.n_classes is 4 and model.vocab_size is
 0 (the loaded vocabulary's size); the data.* keys name inputs and CSV
 columns.  Each value is converted to the type of its key's default when the
-config loads, and a value that does not convert is a config error.  Every
-run writes the merged config, as converted (--set train.lr=1 is recorded as
-1.0), into its output directory, so a run can be reproduced from its
-artifacts alone.
+config loads, and a value that does not convert, or would lose part of
+itself on the way (true for a number, 3.7 for an int), is a config error.
+Every run writes the merged config, as converted (--set train.lr=1 is
+recorded as 1.0), into its output directory, so a run can be reproduced
+from its artifacts alone.
 
 Exit codes: 0 ok, 2 usage, 3 io, 4 config, 5 numeric (NaN/Inf abort).
 """
@@ -92,6 +93,15 @@ _DEFAULTS = {
 }
 
 
+def _number(value, kind):
+    """``value`` as ``kind`` (int or float), refusing bools and, for int, fractions."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return kind(value)
+
+
 def _coerce(key, value):
     """``value`` as the type of the key's default; a path (None default) is kept as is."""
     default = _DEFAULTS[key]
@@ -103,7 +113,9 @@ def _coerce(key, value):
         if isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
                 raise TypeError("not a list")
-            return tuple(int(v) for v in value)
+            return tuple(_number(v, int) for v in value)
+        if isinstance(default, (int, float)):
+            return _number(value, type(default))
         return type(default)(value)
     except (TypeError, ValueError) as exc:
         want = "a list of ints" if isinstance(default, tuple) else type(default).__name__
@@ -338,8 +350,8 @@ def _bench_dataset(cfg, bench_cfg):
         rows = load_csv_dataset(cfg["data.test_csv"], _schema(cfg))
         return rows, vocab
     n_classes = cfg["model.n_classes"]
-    spec = synthetic.CorpusSpec(n_classes=n_classes)
-    docs = synthetic.generate_docs(-(-bench_cfg.n_samples // n_classes), bench_cfg.seed, spec)
+    docs = synthetic.generate_docs(-(-bench_cfg.n_samples // n_classes), bench_cfg.seed,
+                                   n_classes)
     rows = synthetic.docs_to_rows(docs)
     vocab = build_vocab((tokenize(t) for _, t, _ in rows), cap=cfg["data.vocab_cap"])
     return rows, vocab
@@ -361,7 +373,7 @@ def _cmd_bench(cfg, out_dir) -> int:
         states = [init_model(mc, bench_cfg.seed) for mc in trio]
 
     dataset = encode_dataset(rows, vocab, states[0].config.seq_len)
-    results = bench_mod.measure_many(states, dataset, bench_cfg)
+    results = [bench_mod.measure_throughput(s, dataset, bench_cfg) for s in states]
     counts = {
         bench_mod.model_display_name(s.config): param_count(s.config)[0] for s in states
     }

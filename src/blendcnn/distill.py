@@ -49,7 +49,6 @@ __all__ = [
     "train_distill",
     "evaluate",
     "dump_predictions",
-    "recount_predictions",
     "make_surrogate_teacher",
     "ProtocolConfig",
     "ProtocolResult",
@@ -234,8 +233,15 @@ def read_logit_records(path) -> list:
 
 
 def attach_teacher_logits(examples, records) -> list:
-    """Return new Examples carrying teacher logits looked up by example id."""
-    by_id = {rec.example_id: rec.logits for rec in records}
+    """Return new Examples carrying teacher logits looked up by example id.
+
+    Raises ValueError if an example has no record or an id has two.
+    """
+    by_id = {}
+    for rec in records:
+        if rec.example_id in by_id:
+            raise ValueError(f"duplicate teacher logits for example id={rec.example_id!r}")
+        by_id[rec.example_id] = rec.logits
     out = []
     for ex in examples:
         if ex.id not in by_id:
@@ -386,23 +392,6 @@ def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) ->
         for ex, pred in zip(test_set, result.predictions):
             writer.writerow([ex.id, int(pred), int(ex.label)])
     return result
-
-
-def recount_predictions(path) -> float:
-    """Recompute accuracy from a dump_predictions file."""
-    total = 0
-    correct = 0
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id", "predicted", "gold"]:
-            raise ValueError(f"{path}: unexpected prediction-file header {header}")
-        for record in reader:
-            total += 1
-            correct += record[1] == record[2]
-    if total == 0:
-        raise ValueError(f"{path}: no prediction rows")
-    return correct / total
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .numerics import (
     relu,
     relu_backward,
 )
-from .text import PAD_ID, EmbeddingMatrix
+from .text import PAD_ID
 
 __all__ = [
     "ModelConfig",
@@ -173,11 +173,11 @@ def _conv_stages(config: ModelConfig) -> list:
             if name.startswith("conv") and name.endswith(".w")]
 
 
-def init_model(config: ModelConfig, seed: int, embeddings: EmbeddingMatrix = None) -> ModelState:
+def init_model(config: ModelConfig, seed: int, embeddings: np.ndarray = None) -> ModelState:
     """Build a fresh ModelState: Glorot-uniform weights, zero biases.
 
-    Embeddings come from ``embeddings`` when given (PAD row must already be
-    zero), otherwise uniform(-0.05, 0.05) with a zeroed PAD row.
+    Embeddings are a copy of the [vocab_size, embed_dim] ``embeddings`` when
+    given, otherwise uniform(-0.05, 0.05); the PAD row is zeroed either way.
     """
     rng = np.random.default_rng(seed)
     params = {}
@@ -185,12 +185,12 @@ def init_model(config: ModelConfig, seed: int, embeddings: EmbeddingMatrix = Non
         if name == "embedding":
             if embeddings is None:
                 value = rng.uniform(-0.05, 0.05, size=shape)
-            elif embeddings.matrix.shape != shape:
+            elif embeddings.shape != shape:
                 raise ValueError(
-                    f"embedding matrix {embeddings.matrix.shape} does not match config {shape}"
+                    f"embedding matrix {embeddings.shape} does not match config {shape}"
                 )
             else:
-                value = embeddings.matrix.astype(np.float64).copy()
+                value = embeddings.astype(np.float64)
             value[PAD_ID] = 0.0
         elif name.endswith(".w"):
             # Glorot fans of a [K, in, out] conv kernel or an [in, out] matrix
@@ -437,29 +437,45 @@ def save_checkpoint(state: ModelState, path) -> None:
             fh.write(buf)
 
 
+def _read_header(raw: bytes):
+    """(config, seed, blocks) from header bytes; blocks are (name, shape, offset, nbytes).
+
+    Raises KeyError, TypeError or ValueError on anything malformed.
+    """
+    header = json.loads(raw.decode("utf-8"))
+    config = ModelConfig.from_dict(header["config"])
+    blocks = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]), int(e["nbytes"]))
+              for e in header["params"]]
+    return config, header["seed"], blocks
+
+
 def load_checkpoint(path) -> ModelState:
     """Rebuild a ModelState from :func:`save_checkpoint` output.
 
     Gradients and Adam moments come back zeroed; eval-mode forward output is
-    bitwise identical to the saved state's.
+    bitwise identical to the saved state's.  Any file that save_checkpoint
+    could not have written raises CheckpointError: the parameter blocks must
+    tile the payload from offset 0 with no gap, overlap or trailing byte.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated preamble ({len(blob)} bytes)")
+    version, header_len = (int(v) for v in np.frombuffer(blob[8:16], dtype="<u4"))
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    header_len = int(np.frombuffer(blob[12:16], dtype="<u4")[0])
+    if 16 + header_len > len(blob):
+        raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header") from exc
-    config = ModelConfig.from_dict(header["config"])
+        config, seed, blocks = _read_header(blob[16 : 16 + header_len])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: corrupt header ({exc!r})") from exc
     payload = blob[16 + header_len :]
 
     expected = _param_shapes(config)
-    stored = {entry["name"]: tuple(entry["shape"]) for entry in header["params"]}
+    stored = {name: shape for name, shape, _, _ in blocks}
     problems = [f"missing {name}" for name in expected if name not in stored]
     problems += [f"unexpected {name}" for name in stored if name not in expected]
     problems += [
@@ -467,17 +483,25 @@ def load_checkpoint(path) -> ModelState:
         for name, shape in stored.items()
         if name in expected and shape != expected[name]
     ]
+    if len(stored) != len(blocks):
+        problems.append("a parameter name repeats")
     if problems:
         raise CheckpointError(f"{path}: parameters do not match config: " + "; ".join(problems))
 
     params = {}
-    for entry in header["params"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated parameter block {entry['name']}")
-        arr = np.frombuffer(payload[start : start + nbytes], dtype="<f8").astype(
-            np.float64
-        ).reshape(entry["shape"])
-        params[entry["name"]] = Parameter(entry["name"], arr)
+    end = 0
+    for name, shape, start, nbytes in blocks:
+        if start != end or nbytes != 8 * math.prod(shape):
+            raise CheckpointError(
+                f"{path}: parameter block {name} has offset {start} and nbytes {nbytes}, "
+                f"expected {end} and {8 * math.prod(shape)}"
+            )
+        end = start + nbytes
+        if end > len(payload):
+            raise CheckpointError(f"{path}: truncated parameter block {name}")
+        arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
+        params[name] = Parameter(name, arr)
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} bytes after the last parameter block")
 
-    return ModelState(config, header["seed"], params)
+    return ModelState(config, seed, params)

@@ -16,7 +16,7 @@ aliases it and threads never share one.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,7 +361,6 @@ class GradCheckReport:
 
     max_rel_err: float
     worst_param: str
-    per_param: dict = field(default_factory=dict)
 
     def passes(self, tolerance: float) -> bool:
         return self.max_rel_err < tolerance
@@ -378,7 +377,6 @@ def grad_check(loss_fn, params, h: float = 1e-5) -> GradCheckReport:
     loss_fn()
     analytic = {p.name: p.grad.copy() for p in params}
 
-    per_param = {}
     worst = ("", 0.0)
     for p in params:
         flat = p.value.reshape(-1)
@@ -395,9 +393,8 @@ def grad_check(loss_fn, params, h: float = 1e-5) -> GradCheckReport:
             rel = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), 1e-8)
             if rel > worst_here:
                 worst_here = rel
-        per_param[p.name] = worst_here
         if worst_here >= worst[1]:
             worst = (p.name, worst_here)
     # restore the analytic gradients the probe clobbered
     loss_fn()
-    return GradCheckReport(max_rel_err=worst[1], worst_param=worst[0], per_param=per_param)
+    return GradCheckReport(max_rel_err=worst[1], worst_param=worst[0])

@@ -4,9 +4,9 @@ Each document is a short title plus a description.  Every title opens with
 a class marker word (headlines name their topic); body tokens come from
 two pools: the same class-specific markers, and shared filler words that
 carry no signal.  Markers are drawn with a nearly flat Zipf profile, so a
-class's evidence is spread across its whole marker list, and a noise knob
-occasionally swaps in a marker from the wrong class, which keeps the task
-away from a trivial 100% ceiling.
+class's evidence is spread across its whole marker list, and a fixed noise
+rate occasionally swaps in a marker from the wrong class, which keeps the
+task away from a trivial 100% ceiling.
 
 The point of the generator is experiment control: a small labeled sample
 sees each individual marker only a handful of times while a large pool
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "CLASS_NAMES",
-    "CorpusSpec",
     "SyntheticDoc",
     "generate_docs",
     "docs_to_rows",
@@ -66,43 +65,21 @@ _MARKERS = (
      "dataset laser reactor antenna molecule").split(),
 )
 
+# the 72 filler words, drawn under a Zipf(1) profile
 _FILLERS = (
     "the a of to and in on for with at by from after before over under "
     "new old big small first last next early late major minor local global "
     "week month year day today yesterday report group plan deal talks move "
     "set top key row lead rise fall gain drop call push back look way time "
     "people city country company official place work news state long high "
-    "low open close start end strong weak second third said says made").split()
+    "low open close start end").split()
 
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Knobs for corpus difficulty; defaults are the calibrated desk scale."""
-
-    n_classes: int = 4
-    markers_per_class: int = 40
-    n_fillers: int = 72
-    marker_prob: float = 0.10
-    noise_prob: float = 0.12
-    zipf_a: float = 0.5
-    lead_marker: bool = True      # first title token is always a class marker
-    title_len: tuple = (3, 8)     # inclusive-exclusive, rng.integers style
-    desc_len: tuple = (9, 20)
-
-    def __post_init__(self):
-        if not 2 <= self.n_classes <= len(_MARKERS):
-            raise ValueError(f"n_classes must be in [2, {len(_MARKERS)}]")
-        if not 1 <= self.markers_per_class <= min(len(m) for m in _MARKERS):
-            raise ValueError("markers_per_class exceeds the built-in word lists")
-        if not 1 <= self.n_fillers <= len(_FILLERS):
-            raise ValueError("n_fillers exceeds the built-in filler list")
-        if not 0.0 < self.marker_prob <= 1.0:
-            raise ValueError("marker_prob must be in (0, 1]")
-        if not 0.0 <= self.noise_prob < 1.0:
-            raise ValueError("noise_prob must be in [0, 1)")
-        for lo, hi in (self.title_len, self.desc_len):
-            if not 1 <= lo < hi:
-                raise ValueError("length ranges must satisfy 1 <= lo < hi")
+# corpus difficulty, calibrated at the desk scale
+_MARKER_PROB = 0.10   # share of non-lead tokens drawn from the marker pool
+_NOISE_PROB = 0.12    # share of markers taken from a uniformly drawn class
+_ZIPF_A = 0.5         # marker-rank exponent: nearly flat
+_TITLE_LEN = (3, 8)   # inclusive-exclusive, rng.integers style
+_DESC_LEN = (9, 20)
 
 
 @dataclass
@@ -122,45 +99,44 @@ def _zipf_weights(n, a):
     return w / w.sum()
 
 
-def _token_stream(rng, total, label, spec, marker_p, filler_p, force_marker=None):
+def _token_stream(rng, total, label, n_classes, lead, marker_p, filler_p):
     """``total`` tokens for one class, drawn in bulk.
 
-    ``force_marker`` marks positions that must be markers regardless of
-    marker_prob (lead words); noise still applies to them.
+    Positions flagged in ``lead`` are markers regardless of _MARKER_PROB;
+    noise still applies to them.
     """
-    is_marker = rng.random(total) < spec.marker_prob
-    if force_marker is not None:
-        is_marker |= force_marker
+    is_marker = rng.random(total) < _MARKER_PROB
+    is_marker |= lead
     classes = np.full(total, label)
-    noisy = rng.random(total) < spec.noise_prob
-    classes[noisy] = rng.integers(spec.n_classes, size=int(noisy.sum()))
-    marker_idx = rng.choice(spec.markers_per_class, size=total, p=marker_p)
-    filler_idx = rng.choice(spec.n_fillers, size=total, p=filler_p)
+    noisy = rng.random(total) < _NOISE_PROB
+    classes[noisy] = rng.integers(n_classes, size=int(noisy.sum()))
+    marker_idx = rng.choice(len(marker_p), size=total, p=marker_p)
+    filler_idx = rng.choice(len(filler_p), size=total, p=filler_p)
     return [
         _MARKERS[classes[i]][marker_idx[i]] if is_marker[i] else _FILLERS[filler_idx[i]]
         for i in range(total)
     ]
 
 
-def generate_docs(n_per_class: int, seed: int, spec: CorpusSpec = CorpusSpec()) -> list:
-    """Deterministic corpus of ``n_per_class * spec.n_classes`` docs, shuffled."""
+def generate_docs(n_per_class: int, seed: int, n_classes: int = 4) -> list:
+    """Deterministic corpus of ``n_per_class * n_classes`` docs, shuffled."""
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not 2 <= n_classes <= len(_MARKERS):
+        raise ValueError(f"n_classes must be in [2, {len(_MARKERS)}]")
     rng = np.random.default_rng(seed)
-    marker_p = _zipf_weights(spec.markers_per_class, spec.zipf_a)
-    filler_p = _zipf_weights(spec.n_fillers, 1.0)
+    marker_p = _zipf_weights(len(_MARKERS[0]), _ZIPF_A)
+    filler_p = _zipf_weights(len(_FILLERS), 1.0)
     docs = []
-    for label in range(spec.n_classes):
+    for label in range(n_classes):
         # interleaved [title, desc, title, desc, ...] lengths, one stream per class
         lens = np.empty(2 * n_per_class, dtype=np.int64)
-        lens[0::2] = rng.integers(*spec.title_len, size=n_per_class)
-        lens[1::2] = rng.integers(*spec.desc_len, size=n_per_class)
-        force = None
-        if spec.lead_marker:
-            force = np.zeros(int(lens.sum()), dtype=bool)
-            force[np.concatenate(([0], np.cumsum(lens)[:-1]))[0::2]] = True
-        stream = _token_stream(rng, int(lens.sum()), label, spec, marker_p, filler_p,
-                               force_marker=force)
+        lens[0::2] = rng.integers(*_TITLE_LEN, size=n_per_class)
+        lens[1::2] = rng.integers(*_DESC_LEN, size=n_per_class)
+        lead = np.zeros(int(lens.sum()), dtype=bool)
+        lead[np.concatenate(([0], np.cumsum(lens)[:-1]))[0::2]] = True
+        stream = _token_stream(rng, int(lens.sum()), label, n_classes, lead,
+                               marker_p, filler_p)
         offset = 0
         for i in range(n_per_class):
             t_end = offset + lens[2 * i]

@@ -22,7 +22,6 @@ __all__ = [
     "UNK_TOKEN",
     "Vocabulary",
     "Example",
-    "EmbeddingMatrix",
     "CsvSchema",
     "tokenize",
     "build_vocab",
@@ -154,21 +153,8 @@ def encode_dataset(rows, vocab: Vocabulary, seq_len: int) -> list:
 # ---------------------------------------------------------------------------
 # embeddings
 
-@dataclass
-class EmbeddingMatrix:
-    """[vocab_size, embed_dim] embedding table.
-
-    Row 0 (PAD) is all-zero and stays frozen; every other row is trainable.
-    ``coverage`` is the fraction of non-reserved vocabulary tokens found in
-    the pretrained file.
-    """
-
-    matrix: np.ndarray
-    coverage: float
-
-
-def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> EmbeddingMatrix:
-    """Read GloVe-format text ("token v1 .. vN" per line) for an existing vocab.
+def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> np.ndarray:
+    """The [len(vocab), embed_dim] table from GloVe-format text ("token v1 .. vN").
 
     In-vocab tokens take their file vectors (first occurrence wins); missing
     tokens are initialized uniform(-0.05, 0.05) from ``seed``; the PAD row is
@@ -200,10 +186,7 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
             idx = vocab.token_to_id[token]
             matrix[idx] = vec
             seen.add(token)
-
-    n_real = size - 2
-    coverage = len(seen) / n_real if n_real else 0.0
-    return EmbeddingMatrix(matrix=matrix, coverage=coverage)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

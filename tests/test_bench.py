@@ -1,5 +1,8 @@
 """Throughput harness and report formatting."""
+import csv
+import io
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +12,8 @@ from blendcnn.bench import (
     PAPER_REPORTED,
     ThroughputConfig,
     ThroughputResult,
-    measure_many,
     measure_throughput,
     model_display_name,
-    parse_report_csv,
     report,
 )
 from blendcnn.models import ModelConfig, init_model
@@ -74,7 +75,6 @@ class TestMeasureThroughput:
         expected = cfg.batch_size / 0.001
         assert abs(res.sentences_per_second - expected) <= 0.05 * expected
         assert res.model_name == "stub"
-        assert res.n_samples == 64 and res.batch_size == 32
 
     def test_wall_is_median_and_rate_is_consistent(self):
         cfg = ThroughputConfig(n_samples=32, batch_size=16, repetitions=5,
@@ -82,15 +82,18 @@ class TestMeasureThroughput:
         res = measure_throughput(delay_stub(0.0005), encoded_examples(40), cfg)
         assert len(res.rep_seconds) == 5
         assert res.wall_seconds == float(np.median(res.rep_seconds))
-        assert res.sentences_per_second == res.n_samples / res.wall_seconds
+        assert res.sentences_per_second == cfg.n_samples / res.wall_seconds
 
-    def test_median_discards_a_slow_repetition(self):
+    def test_median_discards_a_slow_repetition(self, monkeypatch):
         """One rep stalled 12x longer must not move the reported rate."""
+        # a fake clock that only the stub advances: no scheduler jitter
+        clock = {"now": 0.0}
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
         calls = {"i": 0}
         delays = [0.001, 0.012, 0.001]  # per batch, per repetition
 
         def predict(ids, lens):
-            busy_wait(delays[calls["i"] // 2])  # 2 batches per repetition
+            clock["now"] += delays[calls["i"] // 2]  # 2 batches per repetition
             calls["i"] += 1
             return np.zeros((ids.shape[0], 4))
 
@@ -170,18 +173,6 @@ class TestMeasureThroughput:
         measure_throughput(delay_stub(0.001), encoded_examples(40), cfg)
         assert time.perf_counter() - start < 2.0
 
-    def test_measure_many_keeps_model_order(self):
-        blend = init_model(ModelConfig(kind="blendcnn", n_classes=3, seq_len=12,
-                                       vocab_size=40, embed_dim=8, n_layers=2,
-                                       n_channels=6, dense_width=5), seed=0)
-        kim = init_model(ModelConfig(kind="kimcnn", n_classes=3, seq_len=12,
-                                     vocab_size=40, embed_dim=8, n_channels=6,
-                                     kernel_widths=(3, 5, 7), dense_width=5), seed=0)
-        results = measure_many([blend, kim], encoded_examples(40, seq_len=12),
-                               ThroughputConfig(n_samples=16, batch_size=8,
-                                                repetitions=1, warmup_batches=0))
-        assert [r.model_name for r in results] == ["2-layer BlendCNN", "KimCNN"]
-
 
 class TestDisplayName:
     def test_names_follow_architecture(self):
@@ -203,9 +194,8 @@ class TestPaperReported:
 
 
 def fake_result(name, sps):
-    return ThroughputResult(model_name=name, n_samples=100, batch_size=32,
-                            wall_seconds=100 / sps, sentences_per_second=sps,
-                            hardware_note="test")
+    return ThroughputResult(model_name=name, wall_seconds=100 / sps,
+                            sentences_per_second=sps, hardware_note="test")
 
 
 class TestReport:
@@ -243,14 +233,25 @@ class TestReport:
                              3_617_426, 2392.34)]
 
     def test_csv_round_trips_exactly(self):
-        # repr() floats in the CSV so parse() recovers bit-identical values
+        # repr() floats in the CSV so a reader recovers bit-identical values
         rep = report([fake_result("KimCNN", 1234.5678901234567)],
                      {"KimCNN": 2_124_824}, include_reference_only=True)
-        assert parse_report_csv(rep.csv) == rep.rows
+        parsed = [
+            (rec["model"],
+             int(rec["total_parameters"]) if rec["total_parameters"] else None,
+             float(rec["sentences_per_second"]) if rec["sentences_per_second"] else None,
+             int(rec["paper_reported_parameters"]),
+             float(rec["paper_reported_sentences_per_second"]))
+            for rec in csv.DictReader(io.StringIO(rep.csv))
+        ]
+        assert parsed == rep.rows
+        assert parsed[0][2] == 1234.5678901234567
 
     def test_csv_header_is_validated(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_report_csv("model,params\nKimCNN,5\n")
+        rep = report([], {"KimCNN": 2_124_824})
+        assert csv.DictReader(io.StringIO(rep.csv)).fieldnames == [
+            "model", "total_parameters", "sentences_per_second",
+            "paper_reported_parameters", "paper_reported_sentences_per_second"]
 
     def test_empty_report_raises(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-from blendcnn.bench import parse_report_csv
-
 CLI = [sys.executable, "-m", "blendcnn.cli"]
 
 # small enough that a 2-epoch run is instant, big enough to exercise all paths
@@ -167,7 +165,14 @@ class TestExitCodes:
         ["param-count", "--set", "model.vocab_size=100", "--set", "model.kernel_widths=5"],
         ["param-count", "--set", "model.vocab_size=100", "--set", "data.text_cols=3"],
         ["param-count", "--set", "model.vocab_size=100", "--set", "model.n_layers=abc"],
+        # a bool or a fraction is not an int; it is not rounded into one
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.n_layers=3.7"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.n_layers=true"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.kernel_widths=[3, 5.5]"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "data.text_cols=[1, 2.5]"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.dropout=false"],
         ["bench", "--set", "bench.n_samples=null"],
+        ["bench", "--set", "model.n_classes=5"],  # more classes than the synthetic corpus
         ["build-vocab", "--set", "data.train_csv=5"],
     ])
     def test_malformed_value_is_config_error(self, tmp_path, args):
@@ -208,6 +213,40 @@ class TestExitCodes:
                         "--set", f"data.test_csv={pipeline}/test.csv"], tmp_path)
         assert proc.returncode == 4, proc.stderr
         assert "missing blend.w" in proc.stderr
+
+    @pytest.mark.parametrize("damage", ["cut_to_8_bytes", "no_config", "trailing_junk"])
+    def test_damaged_checkpoint_is_config_error(self, pipeline, tmp_path, damage):
+        blob = (pipeline / "student" / "model.ckpt").read_bytes()
+        if damage == "cut_to_8_bytes":
+            blob = blob[:8]
+        elif damage == "no_config":
+            n = int.from_bytes(blob[12:16], "little")
+            header = json.loads(blob[16:16 + n])
+            del header["config"]
+            raw = json.dumps(header).encode()
+            blob = blob[:12] + len(raw).to_bytes(4, "little") + raw + blob[16 + n:]
+        else:
+            blob += b"junk"
+        (tmp_path / "damaged.ckpt").write_bytes(blob)
+        proc = run_cli(["eval",
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", "data.checkpoint=damaged.ckpt",
+                        "--set", f"data.test_csv={pipeline}/test.csv"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "config error" in proc.stderr and "damaged.ckpt" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_duplicate_logit_id_is_config_error(self, pipeline, tmp_path):
+        lines = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()
+        (tmp_path / "logits.jsonl").write_text("\n".join(lines + lines[:1]) + "\n")
+        proc = run_cli(["distill", *TINY,
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", f"data.train_csv={pipeline}/pool.csv",
+                        "--set", "data.logits=logits.jsonl",
+                        "--set", "train.epochs=1"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "duplicate teacher logits" in proc.stderr
+        assert json.loads(lines[0])["id"] in proc.stderr
 
     def test_exploding_training_is_numeric_error(self, pipeline, tmp_path):
         # one enormous step overflows the forward pass; the next gradient
@@ -276,12 +315,13 @@ class TestBench:
         assert "paper-reported" in proc.stdout
         text = (tmp_path / "bench_out" / "bench.txt").read_text()
         assert "3-layer BlendCNN" in text and "8-layer BlendCNN" in text
-        rows = parse_report_csv((tmp_path / "bench_out" / "bench.csv").read_text())
-        by_name = {r[0]: r for r in rows}
-        assert by_name["KimCNN"][2] > 0
+        with open(tmp_path / "bench_out" / "bench.csv", newline="") as fh:
+            by_name = {rec["model"]: rec for rec in csv.DictReader(fh)}
+        assert float(by_name["KimCNN"]["sentences_per_second"]) > 0
         # reference-only context row: published numbers, no measurement
-        assert by_name["OpenAI Transformer"][1:3] == (None, None)
-        assert by_name["OpenAI Transformer"][3] == 116_534_790
+        transformer = by_name["OpenAI Transformer"]
+        assert transformer["total_parameters"] == transformer["sentences_per_second"] == ""
+        assert int(transformer["paper_reported_parameters"]) == 116_534_790
 
 
 class TestReproducibility:

@@ -1,4 +1,5 @@
 """Training loops, the logit exchange, evaluation, and run ledgers."""
+import csv
 import json
 import warnings
 
@@ -20,7 +21,6 @@ from blendcnn.distill import (
     infer_logits,
     make_surrogate_teacher,
     read_logit_records,
-    recount_predictions,
     train_direct,
     train_distill,
     write_logit_records,
@@ -47,6 +47,16 @@ def make_examples(n, seed, n_classes=3, vocab_size=20, seq_len=10, labeled=True)
         out.append(Example(id=f"ex{i}", token_ids=ids, valid_len=valid,
                            label=label if labeled else None))
     return out
+
+
+def recount_predictions(path):
+    """Accuracy recomputed from a dump_predictions file, by a separate reader."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["id", "predicted", "gold"]
+        hits = [rec["predicted"] == rec["gold"] for rec in reader]
+    assert hits, f"{path}: no prediction rows"
+    return sum(hits) / len(hits)
 
 
 def with_logits(examples, state, batch_size=8):
@@ -97,6 +107,13 @@ class TestLogitExchange:
         examples = make_examples(3, seed=3)
         records = [LogitRecord("ex0", [0.0, 0.0, 0.0])]
         with pytest.raises(ValueError, match="ex1"):
+            attach_teacher_logits(examples, records)
+
+    def test_attach_rejects_a_repeated_id(self):
+        examples = make_examples(2, seed=3)
+        records = [LogitRecord(ex.id, [0.0, 0.0, 0.0]) for ex in examples]
+        records.append(LogitRecord("ex1", [1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="duplicate.*ex1"):
             attach_teacher_logits(examples, records)
 
     def test_attach_leaves_originals_alone(self):

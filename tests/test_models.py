@@ -1,4 +1,6 @@
 """Model construction, forward/backward, checkpoints, and the pad contract."""
+import json
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ class TestInit:
         emb = state.param("embedding").value
         np.testing.assert_array_equal(emb[PAD_ID], np.zeros(8))
         assert np.all(np.abs(emb[1:]) <= 0.05)
+
+    def test_given_embeddings_are_copied_with_pad_zeroed(self):
+        cfg = tiny_config()
+        table = np.arange(30 * 8, dtype=np.float64).reshape(30, 8)
+        state = init_model(cfg, seed=1, embeddings=table)
+        emb = state.param("embedding").value
+        np.testing.assert_array_equal(emb[PAD_ID], np.zeros(8))
+        np.testing.assert_array_equal(emb[1:], table[1:])
+        assert table[PAD_ID, 1] == 1.0  # the caller's table is left alone
+        with pytest.raises(ValueError, match="does not match"):
+            init_model(cfg, seed=1, embeddings=table[:, :4])
 
     def test_conv_weights_within_glorot_bound(self):
         cfg = tiny_config()
@@ -348,6 +361,54 @@ class TestParamCount:
         assert total == sum(breakdown.values())
 
 
+def _tiny_checkpoint(tmp_path):
+    """Bytes of a small real checkpoint: few enough that every cut can be tried."""
+    cfg = tiny_config(n_classes=2, vocab_size=4, embed_dim=2, n_layers=1,
+                      n_channels=2, dense_width=2)
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(init_model(cfg, seed=27), path)
+    return path.read_bytes()
+
+
+def _with_header(blob, edit):
+    """``blob`` with its JSON header replaced by ``edit(header)``."""
+    n = int.from_bytes(blob[12:16], "little")
+    raw = json.dumps(edit(json.loads(blob[16:16 + n]))).encode()
+    return blob[:12] + len(raw).to_bytes(4, "little") + raw + blob[16 + n:]
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _entry(i, edit):
+    """A header edit applying ``edit`` to parameter entry ``i``."""
+    return lambda h: {**h, "params": [edit(e) if j == i else e
+                                      for j, e in enumerate(h["params"])]}
+
+
+def _shift(i, key, delta):
+    return _entry(i, lambda e: {**e, key: e[key] + delta})
+
+
+_HEADER_DAMAGE = {
+    "no_config": lambda h: _without(h, "config"),
+    "no_params": lambda h: _without(h, "params"),
+    "no_seed": lambda h: _without(h, "seed"),
+    "unknown_config_key": lambda h: {**h, "config": {**h["config"], "depth": 3}},
+    "bad_config_value": lambda h: {**h, "config": {**h["config"], "n_classes": 0}},
+    "not_an_object": lambda h: [h],
+    "entry_without_nbytes": _entry(0, lambda e: _without(e, "nbytes")),
+    "shape_not_a_list": _entry(0, lambda e: {**e, "shape": "x"}),
+    "nbytes_short_of_shape": _shift(0, "nbytes", -8),
+    "nbytes_past_shape": _shift(1, "nbytes", 8),
+    "first_block_not_at_zero": _shift(0, "offset", 8),
+    "gap_between_blocks": _shift(2, "offset", 8),
+    "overlapping_blocks": _shift(2, "offset", -8),
+    "repeated_entry": lambda h: {**h, "params": h["params"] + h["params"][-1:]},
+}
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         cfg = tiny_config(kind="kimcnn", dropout=0.3)
@@ -385,13 +446,39 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        state = init_model(tiny_config(), seed=25)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        blob = _tiny_checkpoint(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", sorted(_HEADER_DAMAGE))
+    def test_header_damage_rejected(self, tmp_path, damage):
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(_with_header(_tiny_checkpoint(tmp_path), _HEADER_DAMAGE[damage]))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("junk", [b"\x00", b"\x00" * 8, b"trailing junk"])
+    def test_trailing_bytes_rejected(self, tmp_path, junk):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(_tiny_checkpoint(tmp_path) + junk)
+        with pytest.raises(CheckpointError, match="after the last parameter block"):
+            load_checkpoint(path)
+
+    def test_header_length_past_the_file_rejected(self, tmp_path):
+        blob = bytearray(_tiny_checkpoint(tmp_path))
+        blob[12:16] = len(blob).to_bytes(4, "little")
+        path = tmp_path / "long_header.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated header"):
+            load_checkpoint(path)
+
+    def test_rewritten_header_still_loads(self, tmp_path):
+        path = tmp_path / "same.ckpt"
+        path.write_bytes(_with_header(_tiny_checkpoint(tmp_path), lambda h: h))
+        assert load_checkpoint(path).seed == 27
 
     @staticmethod
     def _saved(tmp_path, edit):

@@ -129,11 +129,12 @@ class TestGlove:
         path = tmp_path / "vectors.txt"
         path.write_text("apple 1.0 2.0\nplum -1.0 0.5\nextra 9.0 9.0\n")
         emb = load_glove(path, vocab, embed_dim=2, seed=0)
-        assert emb.coverage == pytest.approx(2 / 3)
-        np.testing.assert_array_equal(emb.matrix[vocab.id_for("apple")], [1.0, 2.0])
-        np.testing.assert_array_equal(emb.matrix[PAD_ID], [0.0, 0.0])
+        assert emb.shape == (len(vocab), 2)
+        np.testing.assert_array_equal(emb[vocab.id_for("apple")], [1.0, 2.0])
+        np.testing.assert_array_equal(emb[vocab.id_for("plum")], [-1.0, 0.5])
+        np.testing.assert_array_equal(emb[PAD_ID], [0.0, 0.0])
         # missing token got a small random row, not zeros
-        pear = emb.matrix[vocab.id_for("pear")]
+        pear = emb[vocab.id_for("pear")]
         assert np.all(np.abs(pear) <= 0.05) and np.any(pear != 0)
 
     def test_empty_file_zero_coverage(self, tmp_path):
@@ -141,8 +142,9 @@ class TestGlove:
         path = tmp_path / "vectors.txt"
         path.write_text("")
         emb = load_glove(path, vocab, embed_dim=3, seed=1)
-        assert emb.coverage == 0.0
-        np.testing.assert_array_equal(emb.matrix[PAD_ID], np.zeros(3))
+        np.testing.assert_array_equal(emb[PAD_ID], np.zeros(3))
+        # every real row keeps its seeded random init
+        assert np.all(np.abs(emb[2:]) <= 0.05) and np.all(emb[2:] != 0)
 
     def test_wrong_arity_names_line(self, tmp_path):
         vocab = build_vocab([["apple"]], cap=10)
