@@ -1,15 +1,29 @@
 """Command-line front end: reproducible experiment runs from JSON configs.
 
-Seven subcommands cover the pipeline: build-vocab, train, infer-logits,
-distill, eval, bench, param-count.  Configuration is a flat JSON object
-with dotted keys ("model.n_layers": 3); repeatable --set KEY=VALUE flags
-override the file.  The model.*, train.* and bench.* keys are the fields of
-ModelConfig, TrainConfig and ThroughputConfig, with their defaults, except
-that model.kind is "blendcnn", model.n_classes is 4 and model.vocab_size is
-0 (the loaded vocabulary's size); the data.* keys name inputs and CSV
-columns.  Each value is converted to the type of its key's default when the
-config loads, and a value that does not convert, or would lose part of
-itself on the way (true for a number, 3.7 for an int), is a config error.
+Seven subcommands cover the pipeline:
+
+    build-vocab   count the tokens of data.train_csv into vocab.tsv
+    train         train a model on the labels of data.train_csv
+    infer-logits  write a checkpoint's logits for data.input_csv
+    distill       train a student on the teacher's data.logits
+    eval          score a checkpoint on data.test_csv
+    bench         time eval throughput beside the paper's figures
+    param-count   count the parameters of a model config
+
+train and distill run one body: train always uses direct_ce, distill uses
+train.mode with direct_ce read as distill_mae, and both start from the GloVe
+vectors in data.embeddings when it is set.
+
+Configuration is a flat JSON object with dotted keys ("model.n_layers": 3);
+repeatable --set KEY=VALUE flags override the file.  The model.*, train.*
+and bench.* keys are the fields of ModelConfig, TrainConfig and
+ThroughputConfig, with their defaults, except that model.kind is
+"blendcnn", model.n_classes is 4 and model.vocab_size is 0 (the loaded
+vocabulary's size); the data.* keys name inputs and CSV columns.  Each
+value is converted to the type of its key's default when the config loads,
+and a value that does not convert, or would lose part of itself on the way
+(true for a number, 3.7 for an int), or is NaN or ±Infinity for a float, is
+a config error.
 Every run writes the merged config, as converted (--set train.lr=1 is
 recorded as 1.0), into its output directory, so a run can be reproduced
 from its artifacts alone.
@@ -20,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
+from functools import partial
 
 from .numerics import NonFiniteError
 from .models import (
@@ -94,12 +110,15 @@ _DEFAULTS = {
 
 
 def _number(value, kind):
-    """``value`` as ``kind`` (int or float), refusing bools and, for int, fractions."""
+    """``value`` as ``kind`` (int or float), refusing bools, NaN, ±Infinity and int fractions."""
     if isinstance(value, bool):
         raise TypeError("a bool is not a number")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError("not a whole number")
-    return kind(value)
+    number = kind(value)
+    if kind is float and not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
 
 
 def _coerce(key, value):
@@ -229,19 +248,6 @@ def _encoded(cfg, csv_key, vocab, seq_len, drop_labels=False):
     return encode_dataset(rows, vocab, seq_len)
 
 
-def _train_rows(cfg):
-    """data.train_csv, cut to data.labeled_per_class rows per class if that is set."""
-    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
-    if cfg["data.labeled_per_class"] > 0:
-        rows, _ = stratified_sample(rows, cfg["data.labeled_per_class"],
-                                    cfg["data.split_seed"])
-    return rows
-
-
-def _maybe_eval_set(cfg, vocab, seq_len):
-    return _encoded(cfg, "data.eval_csv", vocab, seq_len) if cfg["data.eval_csv"] else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -256,7 +262,40 @@ def _cmd_build_vocab(cfg, out_dir) -> int:
     return EXIT_OK
 
 
-def _finish_training(state, ledger, out_dir) -> None:
+def _cmd_train(cfg, out_dir, distill=False) -> int:
+    """Train on data.train_csv by cross-entropy, or, with ``distill``, on data.logits."""
+    vocab = _load_vocab(cfg)
+    model_cfg = _model_config(cfg, vocab)
+    mode = cfg["train.mode"] if distill else distill_mod.DIRECT_CE
+    if mode == distill_mod.DIRECT_CE and distill:
+        mode = distill_mod.DISTILL_MAE  # distill never runs plain CE
+    train_cfg = _section(cfg, "train", mode=mode)
+    if distill:
+        records = distill_mod.read_logit_records(_require(cfg, "data.logits"))
+
+    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
+    if cfg["data.labeled_per_class"] > 0:
+        rows, _ = stratified_sample(rows, cfg["data.labeled_per_class"], cfg["data.split_seed"])
+    sets = [encode_dataset(rows, vocab, model_cfg.seq_len)]
+    train = distill_mod.train_direct
+    if distill:
+        unlabeled = []
+        if cfg["data.unlabeled_csv"]:
+            unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len,
+                                 drop_labels=True)
+        sets = [distill_mod.attach_teacher_logits(s, records) for s in sets + [unlabeled]]
+        train = distill_mod.train_distill
+
+    embeddings = None
+    if cfg["data.embeddings"]:
+        embeddings = load_glove(cfg["data.embeddings"], vocab,
+                                embed_dim=model_cfg.embed_dim, seed=train_cfg.seed)
+    state = init_model(model_cfg, train_cfg.seed, embeddings=embeddings)
+    eval_set = None
+    if cfg["data.eval_csv"]:
+        eval_set = _encoded(cfg, "data.eval_csv", vocab, model_cfg.seq_len)
+    state, ledger = train(state, *sets, train_cfg, eval_set=eval_set,
+                          checkpoint_dir=os.path.join(out_dir, "checkpoints"))
     save_checkpoint(state, os.path.join(out_dir, "model.ckpt"))
     ledger.save(os.path.join(out_dir, "ledger.json"))
     last = ledger.entries[-1]
@@ -264,24 +303,6 @@ def _finish_training(state, ledger, out_dir) -> None:
     if last.eval_accuracy is not None:
         note += f", eval accuracy {last.eval_accuracy:.4f}"
     print(f"{note} -> {out_dir}")
-
-
-def _cmd_train(cfg, out_dir) -> int:
-    vocab = _load_vocab(cfg)
-    model_cfg = _model_config(cfg, vocab)
-    train_cfg = _section(cfg, "train", mode=distill_mod.DIRECT_CE)
-    examples = encode_dataset(_train_rows(cfg), vocab, model_cfg.seq_len)
-    embeddings = None
-    if cfg["data.embeddings"]:
-        embeddings = load_glove(cfg["data.embeddings"], vocab,
-                                embed_dim=model_cfg.embed_dim, seed=train_cfg.seed)
-    state = init_model(model_cfg, train_cfg.seed, embeddings=embeddings)
-    state, ledger = distill_mod.train_direct(
-        state, examples, train_cfg,
-        eval_set=_maybe_eval_set(cfg, vocab, model_cfg.seq_len),
-        checkpoint_dir=os.path.join(out_dir, "checkpoints"),
-    )
-    _finish_training(state, ledger, out_dir)
     return EXIT_OK
 
 
@@ -293,33 +314,6 @@ def _cmd_infer_logits(cfg, out_dir) -> int:
     path = os.path.join(out_dir, "logits.jsonl")
     distill_mod.write_logit_records(path, records)
     print(f"logits for {len(records)} examples -> {path}")
-    return EXIT_OK
-
-
-def _cmd_distill(cfg, out_dir) -> int:
-    vocab = _load_vocab(cfg)
-    model_cfg = _model_config(cfg, vocab)
-    mode = cfg["train.mode"]
-    if mode == distill_mod.DIRECT_CE:
-        mode = distill_mod.DISTILL_MAE  # distill never runs plain CE
-    train_cfg = _section(cfg, "train", mode=mode)
-    records = distill_mod.read_logit_records(_require(cfg, "data.logits"))
-
-    labeled = encode_dataset(_train_rows(cfg), vocab, model_cfg.seq_len)
-    unlabeled = []
-    if cfg["data.unlabeled_csv"]:
-        unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len,
-                             drop_labels=True)
-    labeled = distill_mod.attach_teacher_logits(labeled, records)
-    unlabeled = distill_mod.attach_teacher_logits(unlabeled, records)
-
-    state = init_model(model_cfg, train_cfg.seed)
-    state, ledger = distill_mod.train_distill(
-        state, labeled, unlabeled, train_cfg,
-        eval_set=_maybe_eval_set(cfg, vocab, model_cfg.seq_len),
-        checkpoint_dir=os.path.join(out_dir, "checkpoints"),
-    )
-    _finish_training(state, ledger, out_dir)
     return EXIT_OK
 
 
@@ -409,14 +403,14 @@ def _cmd_param_count(cfg, out_dir) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "build-vocab": _cmd_build_vocab,
-    "train": _cmd_train,
-    "infer-logits": _cmd_infer_logits,
-    "distill": _cmd_distill,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
-    "param-count": _cmd_param_count,
+_COMMANDS = {  # name -> (body, one line of help, also listed in the module docstring)
+    "build-vocab": (_cmd_build_vocab, "count the tokens of data.train_csv into vocab.tsv"),
+    "train": (_cmd_train, "train a model on the labels of data.train_csv"),
+    "infer-logits": (_cmd_infer_logits, "write a checkpoint's logits for data.input_csv"),
+    "distill": (partial(_cmd_train, distill=True), "train a student on the teacher's data.logits"),
+    "eval": (_cmd_eval, "score a checkpoint on data.test_csv"),
+    "bench": (_cmd_bench, "time eval throughput beside the paper's figures"),
+    "param-count": (_cmd_param_count, "count the parameters of a model config"),
 }
 
 
@@ -426,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Train, distill, and benchmark compact convolutional text classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--config", help="JSON config file with flat dotted keys")
         p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable; wins over the file)")
@@ -445,7 +439,7 @@ def main(argv=None) -> int:
             cfg["bench.seed"] = args.seed
         out_dir = _out_dir(args)
         _echo_config(cfg, out_dir)
-        return _COMMANDS[args.command](cfg, out_dir)
+        return _COMMANDS[args.command][0](cfg, out_dir)
     except NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -19,7 +19,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .numerics import (
     mae_loss_backward,
 )
 from .models import ModelConfig, ModelState, backward, forward, init_model, save_checkpoint
-from .text import Example
 
 __all__ = [
     "LogitRecord",
@@ -92,16 +91,13 @@ class TrainConfig:
             raise ValueError("distill_mae requires alpha = 0 (use mode='mixed' to blend)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:  # also refuses NaN
             raise ValueError(f"lr must be positive, got {self.lr}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def config_hash(model_config: ModelConfig, train_config: TrainConfig) -> str:
     blob = json.dumps(
-        {"model": model_config.to_dict(), "train": train_config.to_dict()},
+        {"model": asdict(model_config), "train": asdict(train_config)},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -122,9 +118,6 @@ class RunLedger:
     seed: int
     config_hash: str
     entries: list = field(default_factory=list)
-
-    def append(self, record: EpochRecord) -> None:
-        self.entries.append(record)
 
     @property
     def train_losses(self) -> list:
@@ -254,22 +247,8 @@ def attach_teacher_logits(examples, records) -> list:
 # training loops
 
 
-def _epoch_pass(state, ids, lens, rng, adam, batch_size, perm, batch_grad_fn):
-    """One shuffled pass; batch_grad_fn(sl_indices, logits) -> (loss, dlogits)."""
-    total_loss = 0.0
-    for sl in _batch_slices(len(perm), batch_size):
-        idx = perm[sl]
-        logits, cache = forward(state, ids[idx], lens[idx], train=True, rng=rng)
-        loss, dlogits = batch_grad_fn(idx, logits)
-        backward(state, cache, dlogits)
-        for p in state.parameters():
-            adam_step(p, adam)
-        state.bump_version()
-        total_loss += loss * len(idx)
-    return total_loss / len(perm)
-
-
 def _run_epochs(state, ids, lens, config, batch_grad_fn, eval_set, checkpoint_dir):
+    """Shuffled minibatch Adam; batch_grad_fn(row indices, logits) -> (loss, dlogits)."""
     rng = np.random.default_rng(config.seed)
     adam = AdamConfig(lr=config.lr)
     ledger = RunLedger(seed=config.seed, config_hash=config_hash(state.config, config))
@@ -278,14 +257,22 @@ def _run_epochs(state, ids, lens, config, batch_grad_fn, eval_set, checkpoint_di
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         perm = rng.permutation(len(lens))
-        mean_loss = _epoch_pass(
-            state, ids, lens, rng, adam, config.batch_size, perm, batch_grad_fn
-        )
+        total_loss = 0.0
+        for sl in _batch_slices(len(perm), config.batch_size):
+            idx = perm[sl]
+            logits, cache = forward(state, ids[idx], lens[idx], train=True, rng=rng)
+            loss, dlogits = batch_grad_fn(idx, logits)
+            backward(state, cache, dlogits)
+            for p in state.parameters():
+                adam_step(p, adam)
+            state.bump_version()
+            total_loss += loss * len(idx)
+        del logits, cache, dlogits  # the last batch's buffers: not held through eval and saves
         accuracy = None
         if eval_set is not None:
             accuracy = evaluate(state, eval_set, batch_size=config.batch_size).accuracy
         wall = time.perf_counter() - start
-        ledger.append(EpochRecord(epoch, mean_loss, accuracy, wall))
+        ledger.entries.append(EpochRecord(epoch, total_loss / len(perm), accuracy, wall))
         if checkpoint_dir is not None:
             save_checkpoint(state, os.path.join(checkpoint_dir, f"epoch_{epoch:03d}.ckpt"))
     return state, ledger
@@ -399,8 +386,7 @@ def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) ->
 
 
 def make_surrogate_teacher(pool, model_config: ModelConfig, train_config: TrainConfig,
-                           student_labeled_count: int = None, eval_set=None,
-                           checkpoint_dir=None):
+                           student_labeled_count: int = None):
     """Train a larger direct-CE model to serve distillation logits.
 
     Stands in for an external large teacher; by default an 8-layer BlendCNN
@@ -412,8 +398,7 @@ def make_surrogate_teacher(pool, model_config: ModelConfig, train_config: TrainC
             f"labeled set ({student_labeled_count})"
         )
     state = init_model(model_config, train_config.seed)
-    return train_direct(state, pool, train_config, eval_set=eval_set,
-                        checkpoint_dir=checkpoint_dir)
+    return train_direct(state, pool, train_config)
 
 
 @dataclass(frozen=True)
@@ -490,17 +475,17 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
     pool = encode_rows(train_rows)
     test = encode_rows(test_rows)
 
-    teacher_model = ModelConfig(
+    student_model = ModelConfig(
         kind="blendcnn", n_classes=config.n_classes, seq_len=config.seq_len,
-        vocab_size=len(vocab), n_layers=config.teacher_layers,
+        vocab_size=len(vocab), n_layers=config.student_layers,
     )
-    teacher_train = TrainConfig(
-        mode=DIRECT_CE, batch_size=config.batch_size, epochs=config.teacher_epochs,
-        seed=config.teacher_seed, lr=config.lr,
-    )
+    base = TrainConfig(batch_size=config.batch_size, lr=config.lr,
+                       unlabeled_ratio=config.unlabeled_ratio)
     n_labeled = config.labeled_per_class * config.n_classes
     teacher, _ = make_surrogate_teacher(
-        pool, teacher_model, teacher_train, student_labeled_count=n_labeled
+        pool, replace(student_model, n_layers=config.teacher_layers),
+        replace(base, epochs=config.teacher_epochs, seed=config.teacher_seed),
+        student_labeled_count=n_labeled,
     )
     teacher_accuracy = evaluate(teacher, test).accuracy
 
@@ -514,46 +499,22 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
     unlabeled = encode_rows(unlabeled_rows, drop_labels=True)
 
     records = infer_logits(teacher, labeled + unlabeled, batch_size=config.batch_size)
-    labeled_t = attach_teacher_logits(labeled, records)
-    unlabeled_t = attach_teacher_logits(unlabeled, records)
+    labeled = attach_teacher_logits(labeled, records)
+    unlabeled = attach_teacher_logits(unlabeled, records)
 
-    student_model = ModelConfig(
-        kind="blendcnn", n_classes=config.n_classes, seq_len=config.seq_len,
-        vocab_size=len(vocab), n_layers=config.student_layers,
-    )
-
-    direct_acc = []
-    distill_acc = []
-    labeled_only_acc = []
+    # ProtocolResult field -> (training call, example sets, mode, epochs); built per
+    # call, so a wrapper put on train_direct or train_distill after import is run
+    arms = {
+        "direct_accuracies": (train_direct, [labeled], DIRECT_CE, config.direct_epochs),
+        "distill_accuracies": (
+            train_distill, [labeled, unlabeled], DISTILL_MAE, config.student_epochs),
+        "distill_labeled_only_accuracies": (
+            train_distill, [labeled, []], DISTILL_MAE, config.direct_epochs),
+    }
+    accuracies = {name: [] for name in arms}
     for seed in config.student_seeds:
-        state = init_model(student_model, seed)
-        train_direct(state, labeled, TrainConfig(
-            mode=DIRECT_CE, batch_size=config.batch_size,
-            epochs=config.direct_epochs, seed=seed, lr=config.lr,
-        ))
-        direct_acc.append(evaluate(state, test).accuracy)
-
-        state = init_model(student_model, seed)
-        train_distill(state, labeled_t, unlabeled_t, TrainConfig(
-            mode=DISTILL_MAE, batch_size=config.batch_size,
-            epochs=config.student_epochs, seed=seed, lr=config.lr,
-            unlabeled_ratio=config.unlabeled_ratio,
-        ))
-        distill_acc.append(evaluate(state, test).accuracy)
-
-        state = init_model(student_model, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # expected ratio warning: no unlabeled arm
-            train_distill(state, labeled_t, [], TrainConfig(
-                mode=DISTILL_MAE, batch_size=config.batch_size,
-                epochs=config.direct_epochs, seed=seed, lr=config.lr,
-                unlabeled_ratio=config.unlabeled_ratio,
-            ))
-        labeled_only_acc.append(evaluate(state, test).accuracy)
-
-    return ProtocolResult(
-        teacher_accuracy=teacher_accuracy,
-        direct_accuracies=direct_acc,
-        distill_accuracies=distill_acc,
-        distill_labeled_only_accuracies=labeled_only_acc,
-    )
+        for name, (train, sets, mode, epochs) in arms.items():
+            state = init_model(student_model, seed)
+            train(state, *sets, replace(base, mode=mode, epochs=epochs, seed=seed))
+            accuracies[name].append(evaluate(state, test).accuracy)
+    return ProtocolResult(teacher_accuracy=teacher_accuracy, **accuracies)

@@ -109,13 +109,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)  # __post_init__ turns a JSON kernel_widths list into a tuple
-
 
 class ModelState:
     """Named parameters plus the config and seed used to build them.
@@ -422,7 +415,7 @@ def save_checkpoint(state: ModelState, path) -> None:
     header = json.dumps(
         {
             "format_version": _CKPT_VERSION,
-            "config": state.config.to_dict(),
+            "config": asdict(state.config),
             "seed": state.seed,
             "params": entries,
         },
@@ -443,7 +436,7 @@ def _read_header(raw: bytes):
     Raises KeyError, TypeError or ValueError on anything malformed.
     """
     header = json.loads(raw.decode("utf-8"))
-    config = ModelConfig.from_dict(header["config"])
+    config = ModelConfig(**header["config"])  # __post_init__ makes kernel_widths a tuple
     blocks = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]), int(e["nbytes"]))
               for e in header["params"]]
     return config, header["seed"], blocks

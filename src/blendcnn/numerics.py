@@ -102,7 +102,7 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # also refuses NaN
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError(f"betas must lie in (0,1), got {self.beta1}, {self.beta2}")

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -174,6 +175,12 @@ class TestExitCodes:
         ["bench", "--set", "bench.n_samples=null"],
         ["bench", "--set", "model.n_classes=5"],  # more classes than the synthetic corpus
         ["build-vocab", "--set", "data.train_csv=5"],
+        # a float key takes only finite numbers, so config.json stays strict JSON
+        ["param-count", "--set", "model.vocab_size=100", "--set", "train.lr=NaN"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "train.lr=nan"],
+        ["param-count", "--set", "model.vocab_size=100",
+         "--set", "train.unlabeled_ratio=Infinity"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "train.alpha=-Infinity"],
     ])
     def test_malformed_value_is_config_error(self, tmp_path, args):
         proc = run_cli(args, tmp_path)
@@ -248,6 +255,17 @@ class TestExitCodes:
         assert "duplicate teacher logits" in proc.stderr
         assert json.loads(lines[0])["id"] in proc.stderr
 
+    @pytest.mark.parametrize("command", ["train", "distill"])
+    def test_missing_embeddings_file_is_io_error(self, pipeline, tmp_path, command):
+        proc = run_cli([command, *TINY,
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", f"data.train_csv={pipeline}/pool.csv",
+                        "--set", f"data.logits={pipeline}/logits_out/logits.jsonl",
+                        "--set", "data.embeddings=absent.glove.txt",
+                        "--set", "train.epochs=1"], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "absent.glove.txt" in proc.stderr
+
     def test_exploding_training_is_numeric_error(self, pipeline, tmp_path):
         # one enormous step overflows the forward pass; the next gradient
         # is non-finite and training must abort, not save garbage
@@ -259,6 +277,21 @@ class TestExitCodes:
         assert proc.returncode == 5
         assert "numeric error" in proc.stderr
         assert "non-finite gradient" in proc.stderr
+
+
+class TestHelp:
+    def test_every_subcommand_has_a_description(self, tmp_path, monkeypatch):
+        from blendcnn import cli
+        monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+        out = ok(run_cli(["-h"], tmp_path)).stdout
+        names = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+        assert len(names) == 7
+        for name in names:
+            line = re.search(rf"^ +{name} +(\S.*)$", out, re.MULTILINE)
+            assert line, f"{name}: no description in -h output"
+            # the module docstring lists the same line
+            assert re.search(rf"^ +{name} +{re.escape(line.group(1))}$", cli.__doc__,
+                             re.MULTILINE), name
 
 
 class TestEval:

@@ -6,13 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from blendcnn import distill
 from blendcnn.models import ModelConfig, init_model, load_checkpoint
+from blendcnn.numerics import AdamConfig
+from blendcnn.synthetic import docs_to_rows, generate_docs
 from blendcnn.text import Example
 from blendcnn.distill import (
     DIRECT_CE,
     DISTILL_MAE,
     MIXED,
     LogitRecord,
+    ProtocolConfig,
     TrainConfig,
     attach_teacher_logits,
     config_hash,
@@ -21,6 +25,7 @@ from blendcnn.distill import (
     infer_logits,
     make_surrogate_teacher,
     read_logit_records,
+    run_distillation_protocol,
     train_direct,
     train_distill,
     write_logit_records,
@@ -71,6 +76,13 @@ class TestTrainConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             TrainConfig(mode="contrastive")
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
+    def test_lr_must_be_positive(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+        with pytest.raises(ValueError, match="lr"):
+            AdamConfig(lr=lr)
 
     def test_config_hash_tracks_content(self):
         model = tiny_model().config
@@ -308,3 +320,39 @@ class TestSurrogateTeacher:
         state, ledger = make_surrogate_teacher(pool, tiny_model().config, cfg)
         assert len(ledger.entries) == 30
         assert evaluate(state, pool).accuracy > 0.5
+
+
+class TestProtocol:
+    def test_recipe_runs_each_arm_per_seed_without_warnings(self, monkeypatch):
+        config = ProtocolConfig(seq_len=12, labeled_per_class=2, unlabeled_ratio=3,
+                                teacher_layers=2, teacher_epochs=1, student_layers=1,
+                                student_epochs=2, direct_epochs=3, batch_size=8,
+                                student_seeds=(4, 5))
+        calls = []
+
+        def recorded(fn):
+            def call(state, *sets_then_config, **kwargs):
+                *sets, cfg = sets_then_config
+                calls.append((fn.__name__, state.config.n_layers, cfg.epochs, cfg.seed,
+                              [len(examples) for examples in sets]))
+                return fn(state, *sets_then_config, **kwargs)
+            return call
+
+        for name in ("train_direct", "train_distill"):
+            monkeypatch.setattr(distill, name, recorded(getattr(distill, name)))
+        train_rows = docs_to_rows(generate_docs(10, seed=60))
+        test_rows = docs_to_rows(generate_docs(3, seed=61), source="test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_distillation_protocol(train_rows, test_rows, config)
+
+        # 40-row pool; 2 labeled per class x 4 classes; 3 unlabeled per labeled row
+        per_seed = lambda seed: [
+            ("train_direct", 1, 3, seed, [8]),
+            ("train_distill", 1, 2, seed, [8, 24]),
+            ("train_distill", 1, 3, seed, [8, 0]),
+        ]
+        assert calls == [("train_direct", 2, 1, 1000, [40])] + per_seed(4) + per_seed(5)
+        for accuracies in (result.direct_accuracies, result.distill_accuracies,
+                           result.distill_labeled_only_accuracies):
+            assert len(accuracies) == 2
