@@ -1,25 +1,29 @@
 """Command-line front end: reproducible experiment runs from JSON configs.
 
-Seven subcommands cover the pipeline:
+Six subcommands cover the pipeline:
 
     build-vocab   count the tokens of data.train_csv into vocab.tsv
-    train         train a model on the labels of data.train_csv
+    train         train a model on data.train_csv, distilling when data.logits is set
     infer-logits  write a checkpoint's logits for data.input_csv
-    distill       train a student on the teacher's data.logits
     eval          score a checkpoint on data.test_csv
     bench         time eval throughput beside the paper's figures
     param-count   count the parameters of a model config
 
-train and distill run one body: train always uses direct_ce, distill uses
-train.mode with direct_ce read as distill_mae, and both start from the GloVe
-vectors in data.embeddings when it is set.
+train picks its objective from its inputs.  Without data.logits it fits the
+labels by cross-entropy (direct_ce), and data.unlabeled_csv or a nonzero
+train.alpha is a config error.  With data.logits it fits the teacher logits
+of the labeled rows and of data.unlabeled_csv: by MAE alone (distill_mae)
+when train.alpha is 0, and blended with alpha * CE on the labeled rows
+(mixed) when it is above 0.  Either way it starts from the GloVe vectors in
+data.embeddings when set.
 
 Configuration is a flat JSON object with dotted keys ("model.n_layers": 3);
 repeatable --set KEY=VALUE flags override the file.  The model.*, train.*
 and bench.* keys are the fields of ModelConfig, TrainConfig and
-ThroughputConfig, with their defaults, except that model.kind is
-"blendcnn", model.n_classes is 4 and model.vocab_size is 0 (the loaded
-vocabulary's size); the data.* keys name inputs and CSV columns.  Each
+ThroughputConfig, with their defaults, except that train.mode is no key (it
+follows from the inputs, as above), model.kind is "blendcnn",
+model.n_classes is 4 and model.vocab_size is 0 (the loaded vocabulary's
+size); the data.* keys name inputs and CSV columns.  Each
 value is converted to the type of its key's default when the config loads,
 and a value that does not convert, or would lose part of itself on the way
 (true for a number, 3.7 for an int), or is NaN or ±Infinity for a float, is
@@ -38,7 +42,6 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
-from functools import partial
 
 from .numerics import NonFiniteError
 from .models import (
@@ -85,8 +88,10 @@ _SECTIONS = {
 }
 
 _DEFAULTS = {
+    # train.mode is no key: _cmd_train derives it from data.logits and train.alpha
     **{f"{name}.{f.name}": f.default
-       for name, cls in _SECTIONS.items() for f in fields(cls) if f.default is not MISSING},
+       for name, cls in _SECTIONS.items() for f in fields(cls)
+       if f.default is not MISSING and (name, f.name) != ("train", "mode")},
     # the library leaves kind and n_classes open; vocab_size 0 = the loaded vocabulary's size
     "model.kind": "blendcnn",
     "model.n_classes": 4,
@@ -186,9 +191,9 @@ def _out_dir(args) -> str:
     return path
 
 
-def _echo_config(cfg, out_dir) -> None:
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+def _write_json(path, data) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
@@ -203,7 +208,7 @@ def _schema(cfg) -> CsvSchema:
 def _section(cfg, name, **given):
     """The ``name`` section's dataclass from its dotted keys; ``given`` wins."""
     cls = _SECTIONS[name]
-    values = {f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)}
+    values = {f.name: cfg[key] for f in fields(cls) if (key := f"{name}.{f.name}") in cfg}
     try:
         return cls(**{**values, **given})
     except ValueError as exc:
@@ -262,16 +267,21 @@ def _cmd_build_vocab(cfg, out_dir) -> int:
     return EXIT_OK
 
 
-def _cmd_train(cfg, out_dir, distill=False) -> int:
-    """Train on data.train_csv by cross-entropy, or, with ``distill``, on data.logits."""
+def _cmd_train(cfg, out_dir) -> int:
+    """Train on data.train_csv: on the teacher's data.logits when set, else by cross-entropy."""
     vocab = _load_vocab(cfg)
     model_cfg = _model_config(cfg, vocab)
-    mode = cfg["train.mode"] if distill else distill_mod.DIRECT_CE
-    if mode == distill_mod.DIRECT_CE and distill:
-        mode = distill_mod.DISTILL_MAE  # distill never runs plain CE
+    distill = bool(cfg["data.logits"])
+    if distill:
+        mode = distill_mod.MIXED if cfg["train.alpha"] > 0 else distill_mod.DISTILL_MAE
+    elif cfg["data.unlabeled_csv"]:
+        raise ConfigError("data.unlabeled_csv needs data.logits: unlabeled rows train "
+                          "only on teacher logits")
+    else:
+        mode = distill_mod.DIRECT_CE
     train_cfg = _section(cfg, "train", mode=mode)
     if distill:
-        records = distill_mod.read_logit_records(_require(cfg, "data.logits"))
+        records = distill_mod.read_logit_records(cfg["data.logits"])
 
     rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
     if cfg["data.labeled_per_class"] > 0:
@@ -323,16 +333,11 @@ def _cmd_eval(cfg, out_dir) -> int:
     test = _encoded(cfg, "data.test_csv", vocab, state.config.seq_len)
     result = distill_mod.dump_predictions(os.path.join(out_dir, "predictions.csv"), state,
                                           test, batch_size=cfg["train.batch_size"])
-    with open(os.path.join(out_dir, "eval.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "accuracy": result.accuracy,
-                "n_examples": result.n_examples,
-                "confusion": result.confusion.tolist(),
-            },
-            fh, indent=2,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "eval.json"), {
+        "accuracy": result.accuracy,
+        "n_examples": result.n_examples,
+        "confusion": result.confusion.tolist(),
+    })
     print(f"accuracy {result.accuracy:.4f} on {result.n_examples} examples -> {out_dir}")
     return EXIT_OK
 
@@ -389,25 +394,19 @@ def _cmd_param_count(cfg, out_dir) -> int:
     print(f"{'total':>12}: {total:,}")
     if ref is not None:
         print(f"{'paper-reported total for ' + name:>12}: {ref[0]:,}")
-    with open(os.path.join(out_dir, "param_count.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "model": name,
-                "total": total,
-                "breakdown": breakdown,
-                "paper_reported_total": ref[0] if ref else None,
-            },
-            fh, indent=2,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "param_count.json"), {
+        "model": name,
+        "total": total,
+        "breakdown": breakdown,
+        "paper_reported_total": ref[0] if ref else None,
+    })
     return EXIT_OK
 
 
 _COMMANDS = {  # name -> (body, one line of help, also listed in the module docstring)
     "build-vocab": (_cmd_build_vocab, "count the tokens of data.train_csv into vocab.tsv"),
-    "train": (_cmd_train, "train a model on the labels of data.train_csv"),
+    "train": (_cmd_train, "train a model on data.train_csv, distilling when data.logits is set"),
     "infer-logits": (_cmd_infer_logits, "write a checkpoint's logits for data.input_csv"),
-    "distill": (partial(_cmd_train, distill=True), "train a student on the teacher's data.logits"),
     "eval": (_cmd_eval, "score a checkpoint on data.test_csv"),
     "bench": (_cmd_bench, "time eval throughput beside the paper's figures"),
     "param-count": (_cmd_param_count, "count the parameters of a model config"),
@@ -438,7 +437,7 @@ def main(argv=None) -> int:
             cfg["train.seed"] = args.seed
             cfg["bench.seed"] = args.seed
         out_dir = _out_dir(args)
-        _echo_config(cfg, out_dir)
+        _write_json(os.path.join(out_dir, "config.json"), dict(sorted(cfg.items())))
         return _COMMANDS[args.command][0](cfg, out_dir)
     except NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -80,15 +79,15 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     lr: float = 1e-3
-    unlabeled_ratio: float = 10.0
 
     def __post_init__(self):
         if self.mode not in (DIRECT_CE, DISTILL_MAE, MIXED):
             raise ValueError(f"unknown training mode {self.mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.mode == DISTILL_MAE and self.alpha != 0.0:
-            raise ValueError("distill_mae requires alpha = 0 (use mode='mixed' to blend)")
+        if self.mode != MIXED and self.alpha != 0.0:
+            raise ValueError(f"alpha = {self.alpha} is the CE share of mode='mixed'; "
+                             f"mode {self.mode!r} takes alpha = 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if not self.lr > 0:  # also refuses NaN
@@ -123,24 +122,11 @@ class RunLedger:
     def train_losses(self) -> list:
         return [e.train_loss for e in self.entries]
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "train_loss": e.train_loss,
-                    "eval_accuracy": e.eval_accuracy,
-                    "wall_seconds": e.wall_seconds,
-                }
-                for e in self.entries
-            ],
-        }
-
     def save(self, path) -> None:
+        data = {"seed": self.seed, "config_hash": self.config_hash,
+                "epochs": [asdict(e) for e in self.entries]}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(data, fh, indent=2)
             fh.write("\n")
 
 
@@ -312,13 +298,6 @@ def train_distill(state: ModelState, labeled, unlabeled, config: TrainConfig,
     union = list(labeled) + list(unlabeled)
     if not union:
         raise ValueError("train_distill needs at least one example")
-    if labeled and unlabeled:
-        ratio = len(unlabeled) / len(labeled)
-        if abs(ratio - config.unlabeled_ratio) > 0.2 * config.unlabeled_ratio:
-            warnings.warn(
-                f"unlabeled/labeled ratio {ratio:.2f} is more than 20% away from "
-                f"the configured {config.unlabeled_ratio:.2f}"
-            )
     ids, lens = _stack_ids(union)
     teacher = _stack_teacher_logits(union, state.config.n_classes)
 
@@ -362,8 +341,13 @@ def evaluate(state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
     if not test_set:
         raise ValueError("evaluate needs a non-empty labeled test set")
     labels = _stack_labels(test_set)
-    preds = _eval_logits(state, test_set, batch_size).argmax(axis=1)
     n_classes = state.config.n_classes
+    outside = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"example id={test_set[i].id!r} has label {labels[i]}, outside "
+                         f"the model's classes 0..{n_classes - 1}")
+    preds = _eval_logits(state, test_set, batch_size).argmax(axis=1)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     return EvalResult(accuracy=int((preds == labels).sum()) / len(test_set),
@@ -385,18 +369,12 @@ def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) ->
 # surrogate teacher and the end-to-end protocol
 
 
-def make_surrogate_teacher(pool, model_config: ModelConfig, train_config: TrainConfig,
-                           student_labeled_count: int = None):
+def make_surrogate_teacher(pool, model_config: ModelConfig, train_config: TrainConfig):
     """Train a larger direct-CE model to serve distillation logits.
 
     Stands in for an external large teacher; by default an 8-layer BlendCNN
     trained on a labeled pool much bigger than the student's.
     """
-    if student_labeled_count is not None and len(pool) < student_labeled_count:
-        warnings.warn(
-            f"surrogate teacher pool ({len(pool)}) is smaller than the student's "
-            f"labeled set ({student_labeled_count})"
-        )
     state = init_model(model_config, train_config.seed)
     return train_direct(state, pool, train_config)
 
@@ -479,19 +457,17 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
         kind="blendcnn", n_classes=config.n_classes, seq_len=config.seq_len,
         vocab_size=len(vocab), n_layers=config.student_layers,
     )
-    base = TrainConfig(batch_size=config.batch_size, lr=config.lr,
-                       unlabeled_ratio=config.unlabeled_ratio)
-    n_labeled = config.labeled_per_class * config.n_classes
+    base = TrainConfig(batch_size=config.batch_size, lr=config.lr)
     teacher, _ = make_surrogate_teacher(
         pool, replace(student_model, n_layers=config.teacher_layers),
         replace(base, epochs=config.teacher_epochs, seed=config.teacher_seed),
-        student_labeled_count=n_labeled,
     )
     teacher_accuracy = evaluate(teacher, test).accuracy
 
     labeled_rows, rest_rows = stratified_sample(
         train_rows, config.labeled_per_class, config.split_seed
     )
+    n_labeled = config.labeled_per_class * config.n_classes
     unlabeled_rows = sample_rows(
         rest_rows, config.unlabeled_ratio * n_labeled, config.split_seed + 1
     )

@@ -364,8 +364,7 @@ def _full_pipeline(tmp_path, tag):
     student = init_model(cfg, seed=5)
     student, s_ledger = train_distill(
         student, labeled, unlabeled,
-        TrainConfig(mode=DISTILL_MAE, epochs=2, batch_size=16, seed=5,
-                    unlabeled_ratio=8.0))
+        TrainConfig(mode=DISTILL_MAE, epochs=2, batch_size=16, seed=5))
     accuracy = evaluate(student, test).accuracy
 
     t_path, s_path = tmp_path / f"{tag}_teacher.ckpt", tmp_path / f"{tag}_student.ckpt"

@@ -51,7 +51,7 @@ def write_rows(path, n, n_classes=3, seed=0):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Run the whole chain once: vocab -> train -> logits -> distill -> eval."""
+    """Run the whole chain once: vocab -> train -> logits -> train on logits -> eval."""
     root = tmp_path_factory.mktemp("cli")
     write_rows(root / "pool.csv", 36)
     write_rows(root / "test.csv", 18, seed=1)
@@ -72,7 +72,7 @@ def pipeline(tmp_path_factory):
                 "--out", "logits_out"], root))
 
     # labeled = stratified 3/class from the pool, unlabeled = the whole pool
-    ok(run_cli(["distill", *TINY, *vocab_args,
+    ok(run_cli(["train", *TINY, *vocab_args,
                 "--set", "data.train_csv=pool.csv",
                 "--set", "data.labeled_per_class=3",
                 "--set", "data.unlabeled_csv=pool.csv",
@@ -119,6 +119,37 @@ class TestPipeline:
         assert (pipeline / "student" / "model.ckpt").exists()
         ledger = json.loads((pipeline / "student" / "ledger.json").read_text())
         assert len(ledger["epochs"]) == 2
+
+    def test_train_on_logits_is_library_distillation(self, pipeline, tmp_path):
+        from blendcnn import cli
+        from blendcnn.distill import (DISTILL_MAE, TrainConfig, attach_teacher_logits,
+                                      read_logit_records, train_distill)
+        from blendcnn.models import ModelConfig, init_model, save_checkpoint
+        from blendcnn.text import (CsvSchema, Vocabulary, encode_dataset, load_csv_dataset,
+                                   stratified_sample)
+        code = cli.main(["train", *TINY,
+                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                         "--set", f"data.train_csv={pipeline}/pool.csv",
+                         "--set", "data.labeled_per_class=3",
+                         "--set", f"data.unlabeled_csv={pipeline}/pool.csv",
+                         "--set", f"data.logits={pipeline}/logits_out/logits.jsonl",
+                         "--set", "train.epochs=2", "--out", str(tmp_path / "cli")])
+        assert code == 0
+
+        vocab = Vocabulary.load(pipeline / "vocab_out" / "vocab.tsv")
+        model = ModelConfig(kind="blendcnn", n_classes=3, seq_len=12, vocab_size=len(vocab),
+                            embed_dim=8, n_layers=2, n_channels=6, dense_width=5)
+        records = read_logit_records(pipeline / "logits_out" / "logits.jsonl")
+        rows = load_csv_dataset(pipeline / "pool.csv", CsvSchema())
+        labeled, _ = stratified_sample(rows, 3, seed=17)
+        sets = [attach_teacher_logits(encode_dataset(r, vocab, model.seq_len), records)
+                for r in (labeled, [(i, t, None) for i, t, _ in rows])]
+        state, _ = train_distill(init_model(model, 0), *sets,
+                                 TrainConfig(mode=DISTILL_MAE, epochs=2))
+        save_checkpoint(state, tmp_path / "library.ckpt")
+        assert ((tmp_path / "cli" / "model.ckpt").read_bytes()
+                == (tmp_path / "library.ckpt").read_bytes())
+        assert "train.mode" not in json.loads((tmp_path / "cli" / "config.json").read_text())
 
     def test_eval_artifacts(self, pipeline):
         result = json.loads((pipeline / "eval_out" / "eval.json").read_text())
@@ -178,9 +209,10 @@ class TestExitCodes:
         # a float key takes only finite numbers, so config.json stays strict JSON
         ["param-count", "--set", "model.vocab_size=100", "--set", "train.lr=NaN"],
         ["param-count", "--set", "model.vocab_size=100", "--set", "train.lr=nan"],
-        ["param-count", "--set", "model.vocab_size=100",
-         "--set", "train.unlabeled_ratio=Infinity"],
+        ["param-count", "--set", "model.vocab_size=100", "--set", "model.dropout=Infinity"],
         ["param-count", "--set", "model.vocab_size=100", "--set", "train.alpha=-Infinity"],
+        # the objective follows from data.logits and train.alpha; it is no key
+        ["param-count", "--set", "model.vocab_size=100", "--set", "train.mode=mixed"],
     ])
     def test_malformed_value_is_config_error(self, tmp_path, args):
         proc = run_cli(args, tmp_path)
@@ -193,6 +225,7 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self, tmp_path):
         assert run_cli(["explode"], tmp_path).returncode == 2
+        assert run_cli(["distill"], tmp_path).returncode == 2  # train --set data.logits=...
 
     def test_vocab_size_zero_without_vocab_is_config_error(self, tmp_path):
         proc = run_cli(["param-count"], tmp_path)  # default vocab_size = 0
@@ -243,10 +276,34 @@ class TestExitCodes:
         assert "config error" in proc.stderr and "damaged.ckpt" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("distill_input", ["train.alpha=0.5", "data.unlabeled_csv={pool}"])
+    def test_distill_input_without_logits_is_config_error(self, pipeline, tmp_path,
+                                                          distill_input):
+        # without data.logits the run is direct CE, which reads neither input
+        pool = pipeline / "pool.csv"
+        proc = run_cli(["train", *TINY,
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", f"data.train_csv={pool}",
+                        "--set", distill_input.format(pool=pool), "--out", "run"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_label_outside_the_model_is_config_error(self, pipeline, tmp_path):
+        # the pipeline's models have 3 classes; a 1-based label of 4 is class 3
+        (tmp_path / "test.csv").write_text('"4","market stocks","update market"\n')
+        proc = run_cli(["eval",
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", f"data.checkpoint={pipeline}/student/model.ckpt",
+                        "--set", "data.test_csv=test.csv"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "test.csv:0" in proc.stderr and "0..2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_duplicate_logit_id_is_config_error(self, pipeline, tmp_path):
         lines = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()
         (tmp_path / "logits.jsonl").write_text("\n".join(lines + lines[:1]) + "\n")
-        proc = run_cli(["distill", *TINY,
+        proc = run_cli(["train", *TINY,
                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
                         "--set", f"data.train_csv={pipeline}/pool.csv",
                         "--set", "data.logits=logits.jsonl",
@@ -255,12 +312,12 @@ class TestExitCodes:
         assert "duplicate teacher logits" in proc.stderr
         assert json.loads(lines[0])["id"] in proc.stderr
 
-    @pytest.mark.parametrize("command", ["train", "distill"])
-    def test_missing_embeddings_file_is_io_error(self, pipeline, tmp_path, command):
-        proc = run_cli([command, *TINY,
+    @pytest.mark.parametrize("objective", ["train", "distill"])
+    def test_missing_embeddings_file_is_io_error(self, pipeline, tmp_path, objective):
+        logits = ["--set", f"data.logits={pipeline}/logits_out/logits.jsonl"]
+        proc = run_cli(["train", *TINY, *(logits if objective == "distill" else []),
                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
                         "--set", f"data.train_csv={pipeline}/pool.csv",
-                        "--set", f"data.logits={pipeline}/logits_out/logits.jsonl",
                         "--set", "data.embeddings=absent.glove.txt",
                         "--set", "train.epochs=1"], tmp_path)
         assert proc.returncode == 3, proc.stderr
@@ -285,7 +342,7 @@ class TestHelp:
         monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
         out = ok(run_cli(["-h"], tmp_path)).stdout
         names = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
-        assert len(names) == 7
+        assert len(names) == 6
         for name in names:
             line = re.search(rf"^ +{name} +(\S.*)$", out, re.MULTILINE)
             assert line, f"{name}: no description in -h output"

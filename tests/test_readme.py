@@ -1,0 +1,27 @@
+"""The README's command-line examples name only subcommands and keys the CLI has (not run)."""
+import pathlib
+import re
+
+from blendcnn import cli
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def cli_blocks():
+    """Fenced blocks of the README that invoke ``blendcnn``, as text."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    return [b for b in blocks if re.search(r"^blendcnn ", b, re.MULTILINE)]
+
+
+def test_readme_commands_exist():
+    subcommands = [m for b in cli_blocks() for m in re.findall(r"^blendcnn +(\S+)", b, re.MULTILINE)]
+    assert subcommands, "README has no blendcnn command block"
+    for name in subcommands:
+        assert name in cli._COMMANDS, f"README runs unknown subcommand {name!r}"
+
+
+def test_readme_set_keys_exist():
+    keys = [k for b in cli_blocks() for k in re.findall(r"--set +([\w.]+)=", b)]
+    assert keys, "README sets no config key"
+    for key in keys:
+        assert key in cli._DEFAULTS, f"README sets unknown config key {key!r}"
