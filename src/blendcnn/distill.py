@@ -140,12 +140,18 @@ def _stack_ids(examples):
     return ids, lens
 
 
-def _stack_labels(examples):
+def _stack_labels(examples, n_classes):
+    """Labels [N]; raises naming the first example without one or outside the classes."""
     labels = np.empty(len(examples), dtype=np.int64)
     for i, ex in enumerate(examples):
         if ex.label is None:
             raise ValueError(f"unlabeled example encountered: id={ex.id!r}")
         labels[i] = ex.label
+    outside = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"example id={examples[i].id!r} has label {labels[i]}, outside "
+                         f"the model's classes 0..{n_classes - 1}")
     return labels
 
 
@@ -235,6 +241,7 @@ def attach_teacher_logits(examples, records) -> list:
 
 def _run_epochs(state, ids, lens, config, batch_grad_fn, eval_set, checkpoint_dir):
     """Shuffled minibatch Adam; batch_grad_fn(row indices, logits) -> (loss, dlogits)."""
+    _stack_labels(eval_set or [], state.config.n_classes)  # bad eval labels fail before a step
     rng = np.random.default_rng(config.seed)
     adam = AdamConfig(lr=config.lr)
     ledger = RunLedger(seed=config.seed, config_hash=config_hash(state.config, config))
@@ -275,7 +282,7 @@ def train_direct(state: ModelState, labeled, config: TrainConfig,
     if not labeled:
         raise ValueError("train_direct needs at least one labeled example")
     ids, lens = _stack_ids(labeled)
-    labels = _stack_labels(labeled)
+    labels = _stack_labels(labeled, state.config.n_classes)
 
     def batch_grad(idx, logits):
         y = labels[idx]
@@ -304,9 +311,9 @@ def train_distill(state: ModelState, labeled, unlabeled, config: TrainConfig,
     alpha = config.alpha
     if alpha > 0.0:
         has_label = np.array([ex.label is not None for ex in union])
-        labels = np.array(
-            [ex.label if ex.label is not None else -1 for ex in union], dtype=np.int64
-        )
+        labels = np.full(len(union), -1, dtype=np.int64)
+        labels[has_label] = _stack_labels([ex for ex in union if ex.label is not None],
+                                          state.config.n_classes)
 
     def batch_grad(idx, logits):
         t = teacher[idx]
@@ -340,13 +347,8 @@ def evaluate(state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
     """Accuracy and per-class confusion; argmax ties go to the lowest class."""
     if not test_set:
         raise ValueError("evaluate needs a non-empty labeled test set")
-    labels = _stack_labels(test_set)
     n_classes = state.config.n_classes
-    outside = np.flatnonzero((labels < 0) | (labels >= n_classes))
-    if outside.size:
-        i = outside[0]
-        raise ValueError(f"example id={test_set[i].id!r} has label {labels[i]}, outside "
-                         f"the model's classes 0..{n_classes - 1}")
+    labels = _stack_labels(test_set, n_classes)
     preds = _eval_logits(state, test_set, batch_size).argmax(axis=1)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)

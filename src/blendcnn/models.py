@@ -202,13 +202,16 @@ def init_model(config: ModelConfig, seed: int, embeddings: np.ndarray = None) ->
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs, pinned to one (state version, batch)."""
+    """Everything backward() needs, pinned to one (state version, batch).
+
+    No pool winners: backward finds them from ``concat``'s pooled values.
+    """
 
     state_version: int
     token_ids: np.ndarray
+    valid_lens: np.ndarray
     embedded: np.ndarray
     conv_outputs: list
-    pool_argmax: list
     concat: np.ndarray
     features: np.ndarray  # the logits layer's input
     dropout_mask: np.ndarray = None
@@ -257,15 +260,12 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
 
     conv_outputs = []
     branches = []
-    argmaxes = []
     x = embedded
     for name in _conv_stages(config):
         z = conv1d(x, state.param(f"{name}.w").value, state.param(f"{name}.b").value)
         h = relu(z)
-        pooled, argmax = masked_max_pool(h, lens)
         conv_outputs.append(h)
-        branches.append(pooled)
-        argmaxes.append(argmax)
+        branches.append(masked_max_pool(h, lens))
         if chained:
             x = h
 
@@ -286,9 +286,9 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
     cache = ForwardCache(
         state_version=state.version,
         token_ids=ids,
+        valid_lens=lens,
         embedded=embedded,
         conv_outputs=conv_outputs,
-        pool_argmax=argmaxes,
         concat=concat,
         features=features,
         dropout_mask=mask,
@@ -305,8 +305,8 @@ def _embedding_grad(state, ids, d_embedded):
     grad = state.param("embedding").grad
     grad.fill(0.0)
     flat = ids.reshape(-1)
-    np.add.at(grad, flat, d_embedded.reshape(flat.size, -1))
-    grad[PAD_ID] = 0.0  # frozen row
+    keep = flat != PAD_ID  # the PAD row is frozen: its gradient stays zero
+    np.add.at(grad, flat[keep], d_embedded.reshape(flat.size, -1)[keep])
 
 
 def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> None:
@@ -346,8 +346,9 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
     d_next = None  # BlendCNN: gradient reaching stage i's output through stage i+1
     d_embedded = []  # per stage that reads the embedding, last stage first
     for i in reversed(range(len(stages))):
-        d_branch = d_concat[:, i * n_ch : (i + 1) * n_ch]
-        d_h = max_pool_backward(cache.pool_argmax[i], config.seq_len, d_branch)
+        branch = slice(i * n_ch, (i + 1) * n_ch)
+        d_h = max_pool_backward(cache.conv_outputs[i], cache.valid_lens,
+                                cache.concat[:, branch], d_concat[:, branch])
         if d_next is not None:
             d_h = d_h + d_next
         d_z = relu_backward(cache.conv_outputs[i], d_h)

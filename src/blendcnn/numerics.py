@@ -8,10 +8,11 @@ against central finite differences.
 Every function leaves its inputs as it found them and returns fresh
 arrays, except ``adam_step``, which updates its Parameter in place.  The one
 piece of hidden state is a per-thread im2col buffer: ``conv1d`` and
-``conv1d_backward`` fill it in place of a fresh [B*L, K*Cin] array on every
-call (``conv1d_backward`` then reuses it for the column gradients), and it
-only grows.  It is read only inside the call that filled it, so no result
-aliases it and threads never share one.
+``conv1d_backward`` copy their input into a zero-padded [B, L+2p, Cin] part
+of it and read the windows into a [B*L, K*Cin] columns part, in place of
+fresh arrays on every call (``conv1d_backward`` then reuses the columns for
+their gradients).  It only grows.  It is read only inside the call that
+filled it, so no result aliases it and threads never share one.
 """
 from __future__ import annotations
 
@@ -147,22 +148,24 @@ def _conv_cols(x: np.ndarray, width: int) -> np.ndarray:
     The result is a view of the buffer and is overwritten by the next call
     on this thread.
     """
+    if width % 2 == 0:  # the strided windows below read K-1 pad rows, so K must be odd
+        raise ValueError(f"conv1d kernel width must be odd, got {width}")
     batch, length, c_in = x.shape
-    size = batch * length * width * c_in
-    buf = getattr(_scratch, "cols", None)
-    if buf is None or buf.size < size:
-        buf = _scratch.cols = np.empty(size)
-    cols = buf[:size].reshape(batch, length, width, c_in)
     pad = (width - 1) // 2
-    for k in range(width):
-        # slot k of row t reads x[t + shift]; rows outside [lo, hi) read
-        # padding (lo == hi when the kernel is wider than the sequence)
-        shift = k - pad
-        lo = min(max(0, -shift), length)
-        hi = max(min(length, length - shift), lo)
-        cols[:, :lo, k] = 0.0
-        cols[:, hi:, k] = 0.0
-        cols[:, lo:hi, k] = x[:, lo + shift : hi + shift]
+    n_cols, n_padded = batch * length * width * c_in, batch * (length + 2 * pad) * c_in
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < n_cols + n_padded:
+        buf = _scratch.buf = np.empty(n_cols + n_padded)
+    cols = buf[:n_cols].reshape(batch, length, width, c_in)
+    padded = buf[n_cols : n_cols + n_padded].reshape(batch, length + 2 * pad, c_in)
+    # each width lays the padded input out anew, so its pad rows are zeroed every call
+    padded[:, :pad] = 0.0
+    padded[:, pad + length :] = 0.0
+    padded[:, pad : pad + length] = x
+    # window t is rows t..t+K-1 of the padded input: K*Cin contiguous doubles
+    s_b, s_l, s_c = padded.strides
+    np.copyto(cols, np.lib.stride_tricks.as_strided(
+        padded, shape=(batch, length, width, c_in), strides=(s_b, s_l, s_l, s_c)))
     return cols.reshape(batch * length, width * c_in)
 
 
@@ -180,8 +183,6 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if kernels.ndim != 3:
         raise ValueError(f"conv1d kernels must be [K, Cin, Cout], got {kernels.shape}")
     width, c_in, c_out = kernels.shape
-    if width % 2 == 0:
-        raise ValueError(f"conv1d kernel width must be odd, got {width}")
     single = x.ndim == 2
     xb = x[None] if single else x
     if xb.ndim != 3 or xb.shape[2] != c_in:
@@ -235,12 +236,12 @@ def relu_backward(x, dout):
     return dout * (x > 0.0)
 
 
-def masked_max_pool(x: np.ndarray, valid_lens: np.ndarray):
+def masked_max_pool(x: np.ndarray, valid_lens: np.ndarray) -> np.ndarray:
     """Batched global max pool restricted to each row's valid prefix.
 
-    x: [B, L, C], valid_lens: [B] -> (pooled [B, C], argmax [B, C]).
-    Positions at or beyond the valid length never win; ties go to the
-    earliest position (first occurrence).
+    x: [B, L, C], valid_lens: [B] -> pooled [B, C].  Positions at or beyond
+    the valid length never win; a NaN in the valid prefix pools to NaN.
+    Which position won is left to :func:`max_pool_backward`.
     """
     batch, length, _ = x.shape
     valid_lens = np.asarray(valid_lens)
@@ -249,17 +250,23 @@ def masked_max_pool(x: np.ndarray, valid_lens: np.ndarray):
     if np.any(valid_lens < 1) or np.any(valid_lens > length):
         raise ValueError(f"valid lengths must be in [1, {length}]")
     mask = np.arange(length)[None, :] < valid_lens[:, None]
-    masked = np.where(mask[:, :, None], x, -np.inf)
-    argmax = masked.argmax(axis=1)
-    pooled = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
-    return pooled, argmax
+    return np.max(x, axis=1, where=mask[:, :, None], initial=-np.inf)
 
 
-def max_pool_backward(argmax, length, dout):
-    """Scatter dout[B, C] back to the argmax positions of an [B, L, C] input."""
-    batch, channels = dout.shape
+def max_pool_backward(x, valid_lens, pooled, dout):
+    """Scatter dout[B, C] to each channel's winner in the pooled input x[B, L, C].
+
+    The winner is the first valid position equal to ``pooled``: ties, relu
+    zeros included, go to the earliest position and a NaN-pooled channel to
+    its first NaN, as an argmax over the valid prefix picks.
+    """
+    batch, length, channels = x.shape
+    hit = x == pooled[:, None, :]
+    if np.isnan(pooled).any():  # NaN == NaN is False
+        hit |= np.isnan(x)
+    hit &= (np.arange(length)[None, :] < np.asarray(valid_lens)[:, None])[:, :, None]
     dx = np.zeros((batch, length, channels))
-    np.put_along_axis(dx, argmax[:, None, :], dout[:, None, :], axis=1)
+    np.put_along_axis(dx, hit.argmax(axis=1)[:, None, :], dout[:, None, :], axis=1)
     return dx
 
 

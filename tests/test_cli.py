@@ -300,6 +300,20 @@ class TestExitCodes:
         assert "test.csv:0" in proc.stderr and "0..2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_training_label_outside_the_model_is_named_before_any_step(self, pipeline,
+                                                                          tmp_path):
+        # pool.csv has 36 rows; row 36 carries class 3 of a 3-class model
+        rows = (pipeline / "pool.csv").read_text()
+        (tmp_path / "bad.csv").write_text(rows + '"4","market stocks","update market"\n')
+        proc = run_cli(["train", *TINY,
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", "data.train_csv=bad.csv",
+                        "--set", "train.epochs=1", "--out", "run"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "bad.csv:36" in proc.stderr and "0..2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run" / "checkpoints").exists()
+
     def test_duplicate_logit_id_is_config_error(self, pipeline, tmp_path):
         lines = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()
         (tmp_path / "logits.jsonl").write_text("\n".join(lines + lines[:1]) + "\n")

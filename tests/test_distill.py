@@ -183,6 +183,23 @@ class TestTrainDirect:
         for a, b in zip(state.parameters(), final.parameters()):
             assert np.array_equal(a.value, b.value)
 
+    @pytest.mark.parametrize("where", ["labeled", "mixed", "eval_set"])
+    def test_out_of_range_label_is_named_before_any_step(self, tmp_path, where):
+        # wherever training reads labels, a label outside the classes is
+        # refused at entry, naming the example, before checkpoint_dir exists
+        examples = with_logits(make_examples(8, seed=52), tiny_model(seed=51))
+        eval_set = make_examples(4, seed=53) if where == "eval_set" else None
+        (eval_set or examples)[2].label = 3
+        ckpt = tmp_path / "checkpoints"
+        with pytest.raises(ValueError, match=r"ex2.*3.*0\.\.2"):
+            if where == "mixed":
+                train_distill(tiny_model(), examples, [],
+                              TrainConfig(mode=MIXED, alpha=0.5, epochs=1), checkpoint_dir=ckpt)
+            else:
+                train_direct(tiny_model(), examples, TrainConfig(epochs=1),
+                             eval_set=eval_set, checkpoint_dir=ckpt)
+        assert not ckpt.exists()
+
     def test_ledger_serializes(self, tmp_path):
         state = tiny_model(seed=16)
         _, ledger = train_direct(state, make_examples(8, seed=17),

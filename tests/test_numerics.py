@@ -42,6 +42,14 @@ def global_max_pool(x: np.ndarray, valid_len: int) -> np.ndarray:
     return x[:valid_len].max(axis=0)
 
 
+def argmax_pool_oracle(x, valid_lens):
+    """The masked pool as a where/argmax pair: (pooled [B, C], winner [B, C])."""
+    mask = np.arange(x.shape[1])[None, :] < valid_lens[:, None]
+    masked = np.where(mask[:, :, None], x, -np.inf)
+    argmax = masked.argmax(axis=1)
+    return np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :], argmax
+
+
 def fd_grad(f, x, h=1e-6):
     """Central differences on a flat view of x."""
     g = np.zeros_like(x)
@@ -150,6 +158,10 @@ class TestConv1d:
         with pytest.raises(ValueError):
             conv1d(np.zeros((4, 1)), np.zeros((2, 1, 1)), np.zeros(1))
 
+    def test_even_width_rejected_by_backward(self):
+        with pytest.raises(ValueError, match="odd"):
+            conv1d_backward(np.zeros((2, 4, 1)), np.zeros((2, 1, 1)), np.zeros((2, 4, 1)))
+
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 8, 2))
@@ -170,6 +182,40 @@ class TestConv1d:
         assert rel_err(dx, fd_grad(loss, x)) < 1e-5
         assert rel_err(dk, fd_grad(loss, k)) < 1e-5
         assert rel_err(db, fd_grad(loss, b)) < 1e-5
+
+    @staticmethod
+    def cols_oracle(x, width):
+        batch, length, c_in = x.shape
+        half = (width - 1) // 2
+        want = np.zeros((batch, length, width, c_in))
+        for t in range(length):
+            for k in range(width):
+                if 0 <= t + k - half < length:
+                    want[:, t, k] = x[:, t + k - half]
+        return want.reshape(batch * length, width * c_in)
+
+    def test_conv_cols_match_a_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        for width in (1, 3, 5, 7, 9):  # conv1d takes odd widths only
+            for length in (1, 3, 8):  # includes every K > L case
+                x = rng.normal(size=(2, length, 3))
+                np.testing.assert_array_equal(numerics._conv_cols(x, width),
+                                              self.cols_oracle(x, width))
+        # a 2-D input goes through conv1d as a batch of one
+        x = rng.normal(size=(4, 2))
+        k = rng.normal(size=(7, 2, 3))
+        np.testing.assert_array_equal(
+            conv1d(x, k, np.zeros(3)),
+            (self.cols_oracle(x[None], 7) @ k.reshape(14, 3)).reshape(4, 3))
+
+    def test_shared_pad_rows_are_rezeroed_between_widths(self):
+        # widths 7 -> 3 -> 5 -> 3 lay one buffer out differently on each call,
+        # so a pad row left from the call before would show up as data
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 6, 4)) + 10.0
+        for width in (7, 3, 5, 3):
+            np.testing.assert_array_equal(numerics._conv_cols(x, width),
+                                          self.cols_oracle(x, width))
 
     def test_scratch_buffer_never_leaks_into_a_result(self):
         rng = np.random.default_rng(7)
@@ -248,22 +294,50 @@ class TestReluAndPool:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 7, 3))
         lens = np.array([1, 3, 7, 5])
-        pooled, argmax = masked_max_pool(x, lens)
+        pooled = masked_max_pool(x, lens)
         for i in range(4):
             np.testing.assert_array_equal(pooled[i], global_max_pool(x[i], lens[i]))
-            # argmax points at the winning row
-            np.testing.assert_array_equal(x[i, argmax[i], np.arange(3)], pooled[i])
 
     def test_pool_backward_scatters_to_argmax(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 5, 3))
         lens = np.array([4, 5])
-        pooled, argmax = masked_max_pool(x, lens)
+        pooled = masked_max_pool(x, lens)
         dout = rng.normal(size=(2, 3))
-        dx = max_pool_backward(argmax, 5, dout)
+        dx = max_pool_backward(x, lens, pooled, dout)
         assert dx.shape == x.shape
-        fd = fd_grad(lambda: float(np.sum(masked_max_pool(x, lens)[0] * dout)), x)
+        # one nonzero per channel, on the valid row that holds the max
+        for b in range(2):
+            rows, chans = np.nonzero(dx[b])
+            np.testing.assert_array_equal(chans, np.arange(3))
+            assert np.all(rows < lens[b])
+            np.testing.assert_array_equal(x[b, rows, chans], pooled[b])
+        fd = fd_grad(lambda: float(np.sum(masked_max_pool(x, lens) * dout)), x)
         assert rel_err(dx, fd) < 1e-5
+
+    @pytest.mark.parametrize("case", ["relu", "repeated", "nan"])
+    def test_pool_pair_bitwise_equals_argmax_oracle(self, case):
+        rng = np.random.default_rng(10)
+        batch, length, channels = 6, 9, 5
+        if case == "repeated":
+            # few distinct values, so most channels hold their max more than once
+            x = rng.integers(-2, 3, size=(batch, length, channels)).astype(float)
+        else:
+            x = relu(rng.normal(size=(batch, length, channels)))
+            x[:, :, 0] = 0.0  # an all-zero channel: every position ties
+            x[1] = 0.0
+        if case == "nan":
+            x[2, 1, 1] = x[2, 3, 1] = np.nan  # two NaNs, both valid: the first wins
+            x[3, 7, 2] = np.nan  # beyond row 3's valid length: ignored
+            x[4, 0, :] = np.nan
+        lens = np.array([1, length, 4, 5, length, 2])
+        dout = rng.normal(size=(batch, channels))
+        want_pooled, argmax = argmax_pool_oracle(x, lens)
+        pooled = masked_max_pool(x, lens)
+        np.testing.assert_array_equal(pooled, want_pooled)
+        want_dx = np.zeros_like(x)
+        np.put_along_axis(want_dx, argmax[:, None, :], dout[:, None, :], axis=1)
+        np.testing.assert_array_equal(max_pool_backward(x, lens, pooled, dout), want_dx)
 
 
 class TestSoftmaxAndLosses:
