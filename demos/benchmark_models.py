@@ -31,7 +31,7 @@ timing = ThroughputConfig(n_samples=512, batch_size=32, repetitions=5,
 results = [measure_throughput(s, dataset, timing) for s in states]
 
 counts = {model_display_name(c): param_count(c)[0] for c in configs}
-rep = report(results, counts, include_reference_only=True)
+rep = report(results, counts)
 print(rep.text)
 for r in results:
     spread = (max(r.rep_seconds) - min(r.rep_seconds)) / r.wall_seconds

@@ -17,7 +17,7 @@ from blendcnn.numerics import cross_entropy_backward
 # ---------------------------------------------------------------------------
 # a convolution you can verify on paper
 
-x = np.array([[1.0], [2.0], [3.0], [4.0]])          # length 4, one channel
+x = np.array([[[1.0], [2.0], [3.0], [4.0]]])        # [1, L, C]: one row, length 4, 1 channel
 k = np.array([[[1.0]], [[0.0]], [[-1.0]]])          # width 3: out = left - right
 b = np.zeros(1)
 print("conv1d([1,2,3,4], [1,0,-1]) ->", conv1d(x, k, b).ravel())

@@ -39,7 +39,7 @@ for e in ledger.entries:
           f"test acc {e.eval_accuracy:.3f}  ({e.wall_seconds:.1f}s)")
 
 result = evaluate(state, test)
-print(f"final accuracy {result.accuracy:.3f} on {result.n_examples} examples")
+print(f"final accuracy {result.accuracy:.3f} on {len(result.predictions)} examples")
 print("confusion (rows = gold, cols = predicted):")
 for name, row in zip(CLASS_NAMES, result.confusion):
     print(f"  {name:>9}", row)

@@ -138,8 +138,8 @@ def _warm_up(predict, batches, min_batches: int) -> None:
             return
 
 
-def measure_throughput(model, dataset, config: ThroughputConfig = ThroughputConfig(),
-                       model_name: str = None) -> ThroughputResult:
+def measure_throughput(model, dataset,
+                       config: ThroughputConfig = ThroughputConfig()) -> ThroughputResult:
     """Median-of-repetitions eval throughput on a seeded sample of ``dataset``.
 
     ``dataset`` is a list of encoded Examples.  Sample selection runs before
@@ -151,9 +151,6 @@ def measure_throughput(model, dataset, config: ThroughputConfig = ThroughputConf
             f"dataset too small: {len(dataset)} examples < n_samples={config.n_samples}"
         )
     predict = _as_predict_fn(model)
-    if model_name is None:
-        model_name = (model_display_name(model.config)
-                      if isinstance(model, ModelState) else "stub")
 
     rng = np.random.default_rng(config.seed)
     picked = rng.permutation(len(dataset))[: config.n_samples]
@@ -175,7 +172,8 @@ def measure_throughput(model, dataset, config: ThroughputConfig = ThroughputConf
 
     wall = float(np.median(rep_seconds))
     return ThroughputResult(
-        model_name=model_name,
+        model_name=(model_display_name(model.config)
+                    if isinstance(model, ModelState) else "stub"),
         wall_seconds=wall,
         sentences_per_second=config.n_samples / wall,
         hardware_note=_hardware_note(),
@@ -201,13 +199,11 @@ class BenchReport:
     text: str
     csv: str
 
-    def save(self, text_path=None, csv_path=None) -> None:
-        if text_path is not None:
-            with open(text_path, "w", encoding="utf-8") as fh:
-                fh.write(self.text)
-        if csv_path is not None:
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(self.csv)
+    def save(self, text_path, csv_path) -> None:
+        with open(text_path, "w", encoding="utf-8") as fh:
+            fh.write(self.text)
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(self.csv)
 
 
 def _fmt_params(v):
@@ -218,21 +214,20 @@ def _fmt_sps(v):
     return "" if v is None else f"{v:.2f}"
 
 
-def report(results, counts, include_reference_only: bool = False) -> BenchReport:
+def report(results, counts) -> BenchReport:
     """Aligned text plus CSV: measured numbers beside paper-reported ones.
 
     ``results`` is a list of ThroughputResult (may be empty), ``counts`` maps
     model name to analytic total parameter count.  Cells without a value stay
-    empty.  With ``include_reference_only`` the reference table's remaining
-    models are appended as context rows with empty measured columns.
+    empty.  The reference table's remaining models follow as context rows
+    with empty measured columns.
     """
     if not results and not counts:
         raise ValueError("report needs at least one measurement or count")
     sps = {r.model_name: r.sentences_per_second for r in results}
     names = [r.model_name for r in results]
     names += [n for n in counts if n not in sps]
-    if include_reference_only:
-        names += [n for n in PAPER_REPORTED if n not in names]
+    names += [n for n in PAPER_REPORTED if n not in names]
 
     rows = []
     for name in names:

@@ -18,12 +18,13 @@ when train.alpha is 0, and blended with alpha * CE on the labeled rows
 data.embeddings when set.
 
 Configuration is a flat JSON object with dotted keys ("model.n_layers": 3);
-repeatable --set KEY=VALUE flags override the file.  The model.*, train.*
-and bench.* keys are the fields of ModelConfig, TrainConfig and
-ThroughputConfig, with their defaults, except that train.mode is no key (it
-follows from the inputs, as above), model.kind is "blendcnn",
-model.n_classes is 4 and model.vocab_size is 0 (the loaded vocabulary's
-size); the data.* keys name inputs and CSV columns.  Each
+repeatable --set KEY=VALUE flags override the file, and they are the one
+way to set a value on the command line (seeds too: --set train.seed=N).
+The model.*, train.* and bench.* keys are the fields of ModelConfig,
+TrainConfig and ThroughputConfig, with their defaults, except that
+train.mode is no key (it follows from the inputs, as above), model.kind is
+"blendcnn", model.n_classes is 4 and model.vocab_size is 0 (the loaded
+vocabulary's size); the data.* keys name inputs and CSV columns.  Each
 value is converted to the type of its key's default when the config loads,
 and a value that does not convert, or would lose part of itself on the way
 (true for a number, 3.7 for an int), or is NaN or ±Infinity for a float, is
@@ -335,10 +336,10 @@ def _cmd_eval(cfg, out_dir) -> int:
                                           test, batch_size=cfg["train.batch_size"])
     _write_json(os.path.join(out_dir, "eval.json"), {
         "accuracy": result.accuracy,
-        "n_examples": result.n_examples,
+        "n_examples": len(result.predictions),
         "confusion": result.confusion.tolist(),
     })
-    print(f"accuracy {result.accuracy:.4f} on {result.n_examples} examples -> {out_dir}")
+    print(f"accuracy {result.accuracy:.4f} on {len(result.predictions)} examples -> {out_dir}")
     return EXIT_OK
 
 
@@ -376,9 +377,8 @@ def _cmd_bench(cfg, out_dir) -> int:
     counts = {
         bench_mod.model_display_name(s.config): param_count(s.config)[0] for s in states
     }
-    rep = bench_mod.report(results, counts, include_reference_only=True)
-    rep.save(text_path=os.path.join(out_dir, "bench.txt"),
-             csv_path=os.path.join(out_dir, "bench.csv"))
+    rep = bench_mod.report(results, counts)
+    rep.save(os.path.join(out_dir, "bench.txt"), os.path.join(out_dir, "bench.csv"))
     print(rep.text, end="")
     print(f"reports -> {out_dir}")
     return EXIT_OK
@@ -425,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable; wins over the file)")
         p.add_argument("--out", help=f"output directory (default: ${OUT_ROOT_ENV}/<command>)")
-        p.add_argument("--seed", type=int, help="shorthand for train.seed and bench.seed")
     return parser
 
 
@@ -433,9 +432,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg["train.seed"] = args.seed
-            cfg["bench.seed"] = args.seed
         out_dir = _out_dir(args)
         _write_json(os.path.join(out_dir, "config.json"), dict(sorted(cfg.items())))
         return _COMMANDS[args.command][0](cfg, out_dir)

@@ -204,6 +204,7 @@ def write_logit_records(path, records) -> None:
 
 
 def read_logit_records(path) -> list:
+    """LogitRecords from JSON Lines; a bad record raises ValueError naming path:line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -211,9 +212,11 @@ def read_logit_records(path) -> list:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj["id"], str):
+                    raise TypeError(f"id {obj['id']!r} is not a string")
                 records.append(LogitRecord(example_id=obj["id"], logits=obj["logits"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed logit record") from exc
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise ValueError(f"{path}:{line_no}: malformed logit record ({exc})") from exc
     return records
 
 
@@ -339,7 +342,6 @@ def train_distill(state: ModelState, labeled, unlabeled, config: TrainConfig,
 class EvalResult:
     accuracy: float
     confusion: np.ndarray  # [gold, predicted]
-    n_examples: int
     predictions: np.ndarray  # predicted class per example, in test-set order
 
 
@@ -353,7 +355,7 @@ def evaluate(state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     return EvalResult(accuracy=int((preds == labels).sum()) / len(test_set),
-                      confusion=confusion, n_examples=len(test_set), predictions=preds)
+                      confusion=confusion, predictions=preds)
 
 
 def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
@@ -381,23 +383,27 @@ def make_surrogate_teacher(pool, model_config: ModelConfig, train_config: TrainC
     return train_direct(state, pool, train_config)
 
 
+# the protocol's fixed seeds: its labeled/unlabeled split and its teacher's init
+_SPLIT_SEED = 17
+_TEACHER_SEED = 1000
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Desk-scale distillation experiment: sizes, splits, and budgets."""
+    """Desk-scale distillation experiment: sizes, splits, and budgets.
+
+    The vocabulary cap and the batch size are the library defaults.
+    """
 
     n_classes: int = 4
     seq_len: int = 32
-    vocab_cap: int = 20000
     labeled_per_class: int = 100
     unlabeled_ratio: int = 10
-    split_seed: int = 17
-    teacher_seed: int = 1000
     teacher_layers: int = 8
     teacher_epochs: int = 3
     student_layers: int = 3
     student_epochs: int = 20
     direct_epochs: int = 40
-    batch_size: int = 32
     lr: float = 1e-3
     student_seeds: tuple = (1, 2, 3)
 
@@ -446,7 +452,7 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
     """
     from .text import build_vocab, encode_dataset, stratified_sample, sample_rows, tokenize
 
-    vocab = build_vocab((tokenize(text) for _, text, _ in train_rows), cap=config.vocab_cap)
+    vocab = build_vocab(tokenize(text) for _, text, _ in train_rows)
 
     def encode_rows(rows, drop_labels=False):
         prepared = [(i, t, None if drop_labels else l) for i, t, l in rows]
@@ -459,24 +465,22 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
         kind="blendcnn", n_classes=config.n_classes, seq_len=config.seq_len,
         vocab_size=len(vocab), n_layers=config.student_layers,
     )
-    base = TrainConfig(batch_size=config.batch_size, lr=config.lr)
+    base = TrainConfig(lr=config.lr)
     teacher, _ = make_surrogate_teacher(
         pool, replace(student_model, n_layers=config.teacher_layers),
-        replace(base, epochs=config.teacher_epochs, seed=config.teacher_seed),
+        replace(base, epochs=config.teacher_epochs, seed=_TEACHER_SEED),
     )
     teacher_accuracy = evaluate(teacher, test).accuracy
 
-    labeled_rows, rest_rows = stratified_sample(
-        train_rows, config.labeled_per_class, config.split_seed
-    )
+    labeled_rows, rest_rows = stratified_sample(train_rows, config.labeled_per_class, _SPLIT_SEED)
     n_labeled = config.labeled_per_class * config.n_classes
     unlabeled_rows = sample_rows(
-        rest_rows, config.unlabeled_ratio * n_labeled, config.split_seed + 1
+        rest_rows, config.unlabeled_ratio * n_labeled, _SPLIT_SEED + 1
     )
     labeled = encode_rows(labeled_rows)
     unlabeled = encode_rows(unlabeled_rows, drop_labels=True)
 
-    records = infer_logits(teacher, labeled + unlabeled, batch_size=config.batch_size)
+    records = infer_logits(teacher, labeled + unlabeled)
     labeled = attach_teacher_logits(labeled, records)
     unlabeled = attach_teacher_logits(unlabeled, records)
 

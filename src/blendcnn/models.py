@@ -204,12 +204,12 @@ def init_model(config: ModelConfig, seed: int, embeddings: np.ndarray = None) ->
 class ForwardCache:
     """Everything backward() needs, pinned to one (state version, batch).
 
-    No pool winners: backward finds them from ``concat``'s pooled values.
+    No pool winners and no valid lengths: backward finds each winner from
+    ``concat``'s pooled values alone.
     """
 
     state_version: int
     token_ids: np.ndarray
-    valid_lens: np.ndarray
     embedded: np.ndarray
     conv_outputs: list
     concat: np.ndarray
@@ -286,7 +286,6 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
     cache = ForwardCache(
         state_version=state.version,
         token_ids=ids,
-        valid_lens=lens,
         embedded=embedded,
         conv_outputs=conv_outputs,
         concat=concat,
@@ -347,8 +346,8 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
     d_embedded = []  # per stage that reads the embedding, last stage first
     for i in reversed(range(len(stages))):
         branch = slice(i * n_ch, (i + 1) * n_ch)
-        d_h = max_pool_backward(cache.conv_outputs[i], cache.valid_lens,
-                                cache.concat[:, branch], d_concat[:, branch])
+        d_h = max_pool_backward(cache.conv_outputs[i], cache.concat[:, branch],
+                                d_concat[:, branch])
         if d_next is not None:
             d_h = d_h + d_next
         d_z = relu_backward(cache.conv_outputs[i], d_h)

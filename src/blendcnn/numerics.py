@@ -148,6 +148,8 @@ def _conv_cols(x: np.ndarray, width: int) -> np.ndarray:
     The result is a view of the buffer and is overwritten by the next call
     on this thread.
     """
+    if x.ndim != 3:
+        raise ValueError(f"conv1d input must be [B, L, Cin], got x{x.shape}")
     if width % 2 == 0:  # the strided windows below read K-1 pad rows, so K must be odd
         raise ValueError(f"conv1d kernel width must be odd, got {width}")
     batch, length, c_in = x.shape
@@ -172,47 +174,39 @@ def _conv_cols(x: np.ndarray, width: int) -> np.ndarray:
 def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded 1-D cross-correlation over the length axis.
 
-    x: [L, Cin] or [B, L, Cin]; kernels: [K, Cin, Cout] with K odd;
-    bias: [Cout].  For every position t,
+    x: [B, L, Cin]; kernels: [K, Cin, Cout] with K odd; bias: [Cout].  For
+    every row b and position t,
 
-        out[t, o] = bias[o] + sum_{k, c} x[t + k - (K-1)/2, c] * kernels[k, c, o]
+        out[b, t, o] = bias[o] + sum_{k, c} x[b, t + k - (K-1)/2, c] * kernels[k, c, o]
 
     with out-of-range positions of x treated as zero, so the output keeps
-    length L.
+    length L.  A single sequence goes in as a batch of one, ``x[None]``.
     """
     if kernels.ndim != 3:
         raise ValueError(f"conv1d kernels must be [K, Cin, Cout], got {kernels.shape}")
     width, c_in, c_out = kernels.shape
-    single = x.ndim == 2
-    xb = x[None] if single else x
-    if xb.ndim != 3 or xb.shape[2] != c_in:
-        raise ValueError(
-            f"conv1d: input channels do not match kernels, x{x.shape} vs kernels{kernels.shape}"
-        )
+    if x.ndim != 3 or x.shape[2] != c_in:
+        raise ValueError(f"conv1d input must be [B, L, Cin] with the kernels' Cin, "
+                         f"got x{x.shape} vs kernels{kernels.shape}")
     if bias.shape != (c_out,):
         raise ValueError(f"conv1d: bias shape {bias.shape}, expected ({c_out},)")
-    batch, length = xb.shape[0], xb.shape[1]
-    cols = _conv_cols(xb, width)
-    out = cols @ kernels.reshape(width * c_in, c_out)
+    batch, length = x.shape[0], x.shape[1]
+    out = _conv_cols(x, width) @ kernels.reshape(width * c_in, c_out)
     out += bias
-    out = out.reshape(batch, length, c_out)
-    return out[0] if single else out
+    return out.reshape(batch, length, c_out)
 
 
 def conv1d_backward(x, kernels, dout):
     """Gradients of conv1d: returns (dx, dkernels, dbias).
 
-    Shapes mirror the forward call; ``x`` is the original input.
+    x: [B, L, Cin], the forward call's input; dout: [B, L, Cout].
     """
-    single = x.ndim == 2
-    xb = x[None] if single else x
-    db = dout[None] if single else dout
     width, c_in, c_out = kernels.shape
-    batch, length = xb.shape[0], xb.shape[1]
+    batch, length = x.shape[0], x.shape[1]
     pad = (width - 1) // 2
 
-    cols = _conv_cols(xb, width)
-    dflat = db.reshape(batch * length, c_out)
+    cols = _conv_cols(x, width)
+    dflat = dout.reshape(batch * length, c_out)
     dkernels = (cols.T @ dflat).reshape(width, c_in, c_out)
     dbias = dflat.sum(axis=0)
 
@@ -223,8 +217,7 @@ def conv1d_backward(x, kernels, dout):
     dxp = np.zeros((batch, length + 2 * pad, c_in))
     for k in range(width):
         dxp[:, k : k + length, :] += dcols[:, :, k, :]
-    dx = dxp[:, pad : pad + length, :]
-    return (dx[0] if single else dx), dkernels, dbias
+    return dxp[:, pad : pad + length, :], dkernels, dbias
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -253,19 +246,20 @@ def masked_max_pool(x: np.ndarray, valid_lens: np.ndarray) -> np.ndarray:
     return np.max(x, axis=1, where=mask[:, :, None], initial=-np.inf)
 
 
-def max_pool_backward(x, valid_lens, pooled, dout):
+def max_pool_backward(x, pooled, dout):
     """Scatter dout[B, C] to each channel's winner in the pooled input x[B, L, C].
 
-    The winner is the first valid position equal to ``pooled``: ties, relu
-    zeros included, go to the earliest position and a NaN-pooled channel to
-    its first NaN, as an argmax over the valid prefix picks.
+    ``pooled`` must come from :func:`masked_max_pool` over this same ``x``
+    and some valid lengths.  The winner is the first position equal to
+    ``pooled``: ties, relu zeros included, go to the earliest position and a
+    NaN-pooled channel to its first NaN, as an argmax over the valid prefix
+    picks.  No lengths are needed: some valid position attains the prefix
+    max (or holds the first NaN), and every position before it is valid.
     """
-    batch, length, channels = x.shape
     hit = x == pooled[:, None, :]
     if np.isnan(pooled).any():  # NaN == NaN is False
         hit |= np.isnan(x)
-    hit &= (np.arange(length)[None, :] < np.asarray(valid_lens)[:, None])[:, :, None]
-    dx = np.zeros((batch, length, channels))
+    dx = np.zeros(x.shape)
     np.put_along_axis(dx, hit.argmax(axis=1)[:, None, :], dout[:, None, :], axis=1)
     return dx
 

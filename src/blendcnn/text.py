@@ -208,6 +208,11 @@ class CsvSchema:
     def __post_init__(self):
         if self.label_base not in (0, 1):
             raise ValueError(f"label_base must be 0 or 1, got {self.label_base}")
+        # csv rows would take a negative index from the end, silently
+        if self.label_col < 0:
+            raise ValueError(f"label_col must be >= 0, got {self.label_col}")
+        if any(col < 0 for col in self.text_cols):
+            raise ValueError(f"text_cols must all be >= 0, got {self.text_cols}")
 
 
 def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> list:

@@ -202,8 +202,10 @@ class TestReport:
     def test_measured_beside_reference(self):
         rep = report([fake_result("3-layer BlendCNN", 512.0)],
                      {"3-layer BlendCNN": 2_975_236})
-        assert rep.rows == [("3-layer BlendCNN", 2_975_236, 512.0,
-                             2_975_236, 3676.47)]
+        assert rep.rows == [("3-layer BlendCNN", 2_975_236, 512.0, 2_975_236, 3676.47),
+                            ("KimCNN", None, None, 2_124_824, 3154.57),
+                            ("8-layer BlendCNN", None, None, 3_617_426, 2392.34),
+                            ("OpenAI Transformer", None, None, 116_534_790, 11.76)]
         lines = rep.text.splitlines()
         assert "Total parameters (paper-reported)" in lines[0]
         assert "Sentences per second (paper-reported)" in lines[0]
@@ -212,13 +214,13 @@ class TestReport:
 
     def test_unknown_model_has_empty_reference_cells(self):
         rep = report([fake_result("tiny stub", 10.0)], {"tiny stub": 123})
-        assert rep.rows == [("tiny stub", 123, 10.0, None, None)]
+        assert rep.rows[0] == ("tiny stub", 123, 10.0, None, None)
+        assert [r[0] for r in rep.rows[1:]] == list(PAPER_REPORTED)
         # empty CSV cells, not literal "None"
         assert rep.csv.splitlines()[1] == "tiny stub,123,10.0,,"
 
-    def test_reference_only_rows_appended_on_request(self):
-        rep = report([fake_result("KimCNN", 900.0)], {"KimCNN": 2_124_824},
-                     include_reference_only=True)
+    def test_reference_only_rows_follow_the_measured_ones(self):
+        rep = report([fake_result("KimCNN", 900.0)], {"KimCNN": 2_124_824})
         names = [r[0] for r in rep.rows]
         assert names[0] == "KimCNN"
         assert set(names) == set(PAPER_REPORTED)
@@ -229,13 +231,12 @@ class TestReport:
 
     def test_counts_only_leaves_rate_blank(self):
         rep = report([], {"8-layer BlendCNN": 3_617_426})
-        assert rep.rows == [("8-layer BlendCNN", 3_617_426, None,
-                             3_617_426, 2392.34)]
+        assert rep.rows[0] == ("8-layer BlendCNN", 3_617_426, None, 3_617_426, 2392.34)
+        assert all(r[2] is None for r in rep.rows)
 
     def test_csv_round_trips_exactly(self):
         # repr() floats in the CSV so a reader recovers bit-identical values
-        rep = report([fake_result("KimCNN", 1234.5678901234567)],
-                     {"KimCNN": 2_124_824}, include_reference_only=True)
+        rep = report([fake_result("KimCNN", 1234.5678901234567)], {"KimCNN": 2_124_824})
         parsed = [
             (rec["model"],
              int(rec["total_parameters"]) if rec["total_parameters"] else None,
@@ -259,6 +260,6 @@ class TestReport:
 
     def test_save_writes_both_files(self, tmp_path):
         rep = report([], {"KimCNN": 2_124_824})
-        rep.save(text_path=tmp_path / "b.txt", csv_path=tmp_path / "b.csv")
+        rep.save(tmp_path / "b.txt", tmp_path / "b.csv")
         assert (tmp_path / "b.txt").read_text() == rep.text
         assert (tmp_path / "b.csv").read_text() == rep.csv

@@ -1,4 +1,4 @@
-"""Command-line runs in subprocesses: exit codes, artifacts, reproducibility."""
+"""CLI runs, in subprocesses or through cli.main: exit codes, artifacts, reproducibility."""
 import csv
 import json
 import os
@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from blendcnn import cli
 
 CLI = [sys.executable, "-m", "blendcnn.cli"]
 
@@ -326,6 +328,30 @@ class TestExitCodes:
         assert "duplicate teacher logits" in proc.stderr
         assert json.loads(lines[0])["id"] in proc.stderr
 
+    # in-process, so a traceback fails the test rather than only its exit code
+    @pytest.mark.parametrize("record", ['{"id": ["x"], "logits": [0.0, 1.0, 2.0]}',
+                                        '{"id": "x", "logits": "abcd"}'],
+                             ids=["list_id", "string_logits"])
+    def test_malformed_logit_record_names_its_line(self, pipeline, tmp_path, capsys, record):
+        good = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()[0]
+        (tmp_path / "bad.jsonl").write_text(f"{good}\n{record}\n")
+        code = cli.main(["train", *TINY,
+                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                         "--set", f"data.train_csv={pipeline}/pool.csv",
+                         "--set", f"data.logits={tmp_path}/bad.jsonl",
+                         "--set", "train.epochs=1", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "bad.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("text_cols", "[-1]"), ("label_col", "-1")],
+                             ids=["text_cols", "label_col"])
+    def test_negative_csv_column_is_config_error(self, pipeline, tmp_path, capsys, key, value):
+        code = cli.main(["build-vocab", "--set", f"data.train_csv={pipeline}/pool.csv",
+                         "--set", f"data.{key}={value}", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run" / "vocab.tsv").exists()
+
     @pytest.mark.parametrize("objective", ["train", "distill"])
     def test_missing_embeddings_file_is_io_error(self, pipeline, tmp_path, objective):
         logits = ["--set", f"data.logits={pipeline}/logits_out/logits.jsonl"]
@@ -433,7 +459,7 @@ class TestReproducibility:
         args = ["train", *TINY,
                 "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
                 "--set", f"data.train_csv={pipeline}/pool.csv",
-                "--set", "train.epochs=2", "--seed", "11"]
+                "--set", "train.epochs=2", "--set", "train.seed=11"]
         ok(run_cli(args + ["--out", "a"], tmp_path))
         ok(run_cli(args + ["--out", "b"], tmp_path))
         a = (tmp_path / "a" / "model.ckpt").read_bytes()
@@ -443,12 +469,6 @@ class TestReproducibility:
         lb = json.loads((tmp_path / "b" / "ledger.json").read_text())
         assert [e["train_loss"] for e in la["epochs"]] == \
                [e["train_loss"] for e in lb["epochs"]]
-
-    def test_seed_flag_sets_both_seeds(self, tmp_path):
-        ok(run_cli(["param-count", "--set", "model.vocab_size=100", *TINY[2:],
-                    "--seed", "7", "--out", "pc"], tmp_path))
-        cfg = json.loads((tmp_path / "pc" / "config.json").read_text())
-        assert cfg["train.seed"] == 7 and cfg["bench.seed"] == 7
 
 
 class TestOutDirs:

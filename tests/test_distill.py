@@ -331,8 +331,7 @@ class TestProtocol:
     def test_recipe_runs_each_arm_per_seed_without_warnings(self, monkeypatch):
         config = ProtocolConfig(seq_len=12, labeled_per_class=2, unlabeled_ratio=3,
                                 teacher_layers=2, teacher_epochs=1, student_layers=1,
-                                student_epochs=2, direct_epochs=3, batch_size=8,
-                                student_seeds=(4, 5))
+                                student_epochs=2, direct_epochs=3, student_seeds=(4, 5))
         calls = []
 
         def recorded(fn):

@@ -120,14 +120,14 @@ class TestAffine:
 
 class TestConv1d:
     def test_edge_padding_example(self):
-        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
         k = np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1)
         out = conv1d(x, k, np.zeros(1))
-        np.testing.assert_allclose(out, [[-2.0], [-2.0], [-2.0], [3.0]])
+        np.testing.assert_allclose(out, [[[-2.0], [-2.0], [-2.0], [3.0]]])
 
     def test_width1_identity(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(6, 4))
+        x = rng.normal(size=(2, 6, 4))
         k = np.eye(4).reshape(1, 4, 4)
         np.testing.assert_array_equal(conv1d(x, k, np.zeros(4)), x)
 
@@ -152,15 +152,20 @@ class TestConv1d:
                             for c in range(c_in):
                                 acc += x[src, c] * k[kk, c, o]
                     want[t, o] = acc
-            assert rel_err(conv1d(x, k, b), want) < 1e-12
+            assert rel_err(conv1d(x[None], k, b)[0], want) < 1e-12
 
     def test_even_width_rejected(self):
-        with pytest.raises(ValueError):
-            conv1d(np.zeros((4, 1)), np.zeros((2, 1, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="odd"):
+            conv1d(np.zeros((1, 4, 1)), np.zeros((2, 1, 1)), np.zeros(1))
+        # so is an unbatched [L, Cin] input: one sequence goes in as x[None]
+        with pytest.raises(ValueError, match=r"\[B, L, Cin\]"):
+            conv1d(np.zeros((4, 1)), np.zeros((3, 1, 1)), np.zeros(1))
 
     def test_even_width_rejected_by_backward(self):
         with pytest.raises(ValueError, match="odd"):
             conv1d_backward(np.zeros((2, 4, 1)), np.zeros((2, 1, 1)), np.zeros((2, 4, 1)))
+        with pytest.raises(ValueError, match=r"\[B, L, Cin\]"):
+            conv1d_backward(np.zeros((4, 1)), np.zeros((3, 1, 1)), np.zeros((4, 1)))
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)
@@ -169,7 +174,7 @@ class TestConv1d:
         b = rng.normal(size=3)
         batched = conv1d(x, k, b)
         for i in range(3):
-            np.testing.assert_allclose(batched[i], conv1d(x[i], k, b), rtol=1e-12)
+            np.testing.assert_allclose(batched[i], conv1d(x[i:i + 1], k, b)[0], rtol=1e-12)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(6)
@@ -201,12 +206,12 @@ class TestConv1d:
                 x = rng.normal(size=(2, length, 3))
                 np.testing.assert_array_equal(numerics._conv_cols(x, width),
                                               self.cols_oracle(x, width))
-        # a 2-D input goes through conv1d as a batch of one
-        x = rng.normal(size=(4, 2))
+        # a batch of one with K > L, through conv1d
+        x = rng.normal(size=(1, 4, 2))
         k = rng.normal(size=(7, 2, 3))
         np.testing.assert_array_equal(
             conv1d(x, k, np.zeros(3)),
-            (self.cols_oracle(x[None], 7) @ k.reshape(14, 3)).reshape(4, 3))
+            (self.cols_oracle(x, 7) @ k.reshape(14, 3)).reshape(1, 4, 3))
 
     def test_shared_pad_rows_are_rezeroed_between_widths(self):
         # widths 7 -> 3 -> 5 -> 3 lay one buffer out differently on each call,
@@ -304,7 +309,7 @@ class TestReluAndPool:
         lens = np.array([4, 5])
         pooled = masked_max_pool(x, lens)
         dout = rng.normal(size=(2, 3))
-        dx = max_pool_backward(x, lens, pooled, dout)
+        dx = max_pool_backward(x, pooled, dout)
         assert dx.shape == x.shape
         # one nonzero per channel, on the valid row that holds the max
         for b in range(2):
@@ -315,7 +320,7 @@ class TestReluAndPool:
         fd = fd_grad(lambda: float(np.sum(masked_max_pool(x, lens) * dout)), x)
         assert rel_err(dx, fd) < 1e-5
 
-    @pytest.mark.parametrize("case", ["relu", "repeated", "nan"])
+    @pytest.mark.parametrize("case", ["relu", "repeated", "nan", "past"])
     def test_pool_pair_bitwise_equals_argmax_oracle(self, case):
         rng = np.random.default_rng(10)
         batch, length, channels = 6, 9, 5
@@ -331,13 +336,20 @@ class TestReluAndPool:
             x[3, 7, 2] = np.nan  # beyond row 3's valid length: ignored
             x[4, 0, :] = np.nan
         lens = np.array([1, length, 4, 5, length, 2])
+        if case == "past":
+            # past each valid length: the row's pooled max, values above it and
+            # +inf, which max_pool_backward sees with no lengths to mask them
+            ties = argmax_pool_oracle(x, lens)[0]
+            for b in range(batch):
+                for t in range(lens[b], length):
+                    x[b, t] = (ties[b], ties[b] + 1.0, np.inf)[(t + b) % 3]
         dout = rng.normal(size=(batch, channels))
         want_pooled, argmax = argmax_pool_oracle(x, lens)
         pooled = masked_max_pool(x, lens)
         np.testing.assert_array_equal(pooled, want_pooled)
         want_dx = np.zeros_like(x)
         np.put_along_axis(want_dx, argmax[:, None, :], dout[:, None, :], axis=1)
-        np.testing.assert_array_equal(max_pool_backward(x, lens, pooled, dout), want_dx)
+        np.testing.assert_array_equal(max_pool_backward(x, pooled, dout), want_dx)
 
 
 class TestSoftmaxAndLosses:

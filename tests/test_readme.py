@@ -1,4 +1,4 @@
-"""The README's command-line examples name only subcommands and keys the CLI has (not run)."""
+"""The README's command lines use only subcommands, keys and flags the CLI has (not run)."""
 import pathlib
 import re
 
@@ -25,3 +25,13 @@ def test_readme_set_keys_exist():
     assert keys, "README sets no config key"
     for key in keys:
         assert key in cli._DEFAULTS, f"README sets unknown config key {key!r}"
+
+
+def test_readme_flags_exist():
+    flags = {f for b in cli_blocks() for f in re.findall(r"(?<![\w-])(--[\w-]+)", b)}
+    assert flags, "README passes no flag"
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    known = {opt for p in [parser, *sub.choices.values()]
+             for a in p._actions for opt in a.option_strings}
+    assert flags <= known, f"README passes unknown flags {sorted(flags - known)}"
