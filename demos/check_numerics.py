@@ -8,7 +8,7 @@ Everything here is plain float64 numpy. Run from the repo root:
 import numpy as np
 
 from blendcnn.numerics import (
-    AdamConfig, Parameter, adam_step, conv1d, cross_entropy, grad_check,
+    Parameter, adam_step, conv1d, cross_entropy, grad_check,
     mae_loss, softmax,
 )
 from blendcnn.models import ModelConfig, forward, backward, init_model
@@ -36,7 +36,7 @@ print("mae([0,2] vs [1,5]):", mae_loss(np.array([0.0, 2.0]), np.array([1.0, 5.0]
 
 p = Parameter("w", np.zeros(4))
 p.grad = np.array([1e-6, 1e-2, 1.0, 1e4])
-adam_step(p, AdamConfig(lr=1e-3))
+adam_step(p, 1e-3)
 print("first Adam step:", p.value, "(scale-free: ~ -lr each)")
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from blendcnn.text import (
     stratified_sample, tokenize,
 )
 
-tmp = tempfile.mkdtemp(prefix="textdemo_")
-csv_path = os.path.join(tmp, "news.csv")
-write_agnews_csv(csv_path, generate_docs(50, seed=5))  # 200 rows, 4 classes
-print("wrote", csv_path)
+with tempfile.TemporaryDirectory(prefix="textdemo_") as tmp:
+    csv_path = os.path.join(tmp, "news.csv")
+    write_agnews_csv(csv_path, generate_docs(50, seed=5))  # 200 rows, 4 classes
+    print("wrote", csv_path)
+    rows = load_csv_dataset(csv_path, CsvSchema(label_col=0, text_cols=(1, 2), label_base=1))
 
-rows = load_csv_dataset(csv_path, CsvSchema(label_col=0, text_cols=(1, 2), label_base=1))
 print(f"{len(rows)} rows; first id/label:", rows[0][0], rows[0][2])
 print("first text:", rows[0][1][:72], "...")
 print("tokenized:", tokenize(rows[0][1])[:8], "...")

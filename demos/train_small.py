@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Train a small BlendCNN on synthetic news and inspect what it learned.
 
-Takes about 20 seconds on one CPU core.
+Takes a few seconds on one CPU core.
 """
 import argparse
 import tempfile
@@ -45,8 +45,9 @@ for name, row in zip(CLASS_NAMES, result.confusion):
     print(f"  {name:>9}", row)
 
 # checkpoints round-trip byte-identically; same seed + data = same file
-path = tempfile.mktemp(suffix=".ckpt")
-save_checkpoint(state, path)
-again = load_checkpoint(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = f"{tmp}/model.ckpt"
+    save_checkpoint(state, path)
+    again = load_checkpoint(path)
 logits_a = evaluate(again, test).accuracy
 print("reloaded checkpoint scores identically:", logits_a == result.accuracy)

@@ -21,10 +21,13 @@ Configuration is a flat JSON object with dotted keys ("model.n_layers": 3);
 repeatable --set KEY=VALUE flags override the file, and they are the one
 way to set a value on the command line (seeds too: --set train.seed=N).
 The model.*, train.* and bench.* keys are the fields of ModelConfig,
-TrainConfig and ThroughputConfig, with their defaults, except that
+TrainConfig and ThroughputConfig, and data.label_col, data.text_cols and
+data.label_base those of CsvSchema, with their defaults, except that
 train.mode is no key (it follows from the inputs, as above), model.kind is
 "blendcnn", model.n_classes is 4 and model.vocab_size is 0 (the loaded
-vocabulary's size); the data.* keys name inputs and CSV columns.  Each
+vocabulary's size).  The other data.* keys name inputs, cap the vocabulary,
+or (data.labeled_per_class) keep that many train rows per class, drawn with
+the distillation protocol's split seed.  Each
 value is converted to the type of its key's default when the config loads,
 and a value that does not convert, or would lose part of itself on the way
 (true for a number, 3.7 for an int), or is NaN or ±Infinity for a float, is
@@ -86,6 +89,7 @@ _SECTIONS = {
     "model": ModelConfig,
     "train": distill_mod.TrainConfig,
     "bench": bench_mod.ThroughputConfig,
+    "data": CsvSchema,
 }
 
 _DEFAULTS = {
@@ -107,11 +111,7 @@ _DEFAULTS = {
     "data.vocab": None,
     "data.embeddings": None,
     "data.vocab_cap": 20000,
-    "data.label_col": 0,
-    "data.text_cols": (1, 2),
-    "data.label_base": 1,
-    "data.labeled_per_class": 0,  # 0 = keep every row
-    "data.split_seed": 17,
+    "data.labeled_per_class": 0,  # 0 = keep every row, else a draw with the protocol's seed
 }
 
 
@@ -198,14 +198,6 @@ def _write_json(path, data) -> None:
         fh.write("\n")
 
 
-def _schema(cfg) -> CsvSchema:
-    return CsvSchema(
-        label_col=cfg["data.label_col"],
-        text_cols=cfg["data.text_cols"],
-        label_base=cfg["data.label_base"],
-    )
-
-
 def _section(cfg, name, **given):
     """The ``name`` section's dataclass from its dotted keys; ``given`` wins."""
     cls = _SECTIONS[name]
@@ -248,7 +240,7 @@ def _checkpoint_for(cfg, vocab):
 
 
 def _encoded(cfg, csv_key, vocab, seq_len, drop_labels=False):
-    rows = load_csv_dataset(_require(cfg, csv_key), _schema(cfg))
+    rows = load_csv_dataset(_require(cfg, csv_key), _section(cfg, "data"))
     if drop_labels:
         rows = [(i, t, None) for i, t, _ in rows]
     return encode_dataset(rows, vocab, seq_len)
@@ -259,7 +251,7 @@ def _encoded(cfg, csv_key, vocab, seq_len, drop_labels=False):
 
 
 def _cmd_build_vocab(cfg, out_dir) -> int:
-    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
+    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _section(cfg, "data"))
     vocab = build_vocab((tokenize(text) for _, text, _ in rows),
                         cap=cfg["data.vocab_cap"])
     path = os.path.join(out_dir, "vocab.tsv")
@@ -284,9 +276,9 @@ def _cmd_train(cfg, out_dir) -> int:
     if distill:
         records = distill_mod.read_logit_records(cfg["data.logits"])
 
-    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _schema(cfg))
+    rows = load_csv_dataset(_require(cfg, "data.train_csv"), _section(cfg, "data"))
     if cfg["data.labeled_per_class"] > 0:
-        rows, _ = stratified_sample(rows, cfg["data.labeled_per_class"], cfg["data.split_seed"])
+        rows, _ = stratified_sample(rows, cfg["data.labeled_per_class"], distill_mod.SPLIT_SEED)
     sets = [encode_dataset(rows, vocab, model_cfg.seq_len)]
     train = distill_mod.train_direct
     if distill:
@@ -347,7 +339,7 @@ def _bench_dataset(cfg, bench_cfg):
     """Rows + vocabulary for timing: supplied CSV or a synthetic stand-in."""
     if cfg["data.test_csv"]:
         vocab = _load_vocab(cfg)
-        rows = load_csv_dataset(cfg["data.test_csv"], _schema(cfg))
+        rows = load_csv_dataset(cfg["data.test_csv"], _section(cfg, "data"))
         return rows, vocab
     n_classes = cfg["model.n_classes"]
     docs = synthetic.generate_docs(-(-bench_cfg.n_samples // n_classes), bench_cfg.seed,

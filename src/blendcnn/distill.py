@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .numerics import (
-    AdamConfig,
     adam_step,
     cross_entropy,
     cross_entropy_backward,
@@ -67,6 +66,9 @@ class LogitRecord:
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float64)
+        if self.logits.ndim != 1 or not self.logits.size:
+            raise ValueError(f"teacher logits for {self.example_id!r} have shape "
+                             f"{self.logits.shape}, expected one non-empty row")
         if not np.all(np.isfinite(self.logits)):
             raise ValueError(f"non-finite teacher logits for {self.example_id!r}")
 
@@ -85,9 +87,10 @@ class TrainConfig:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.mode != MIXED and self.alpha != 0.0:
-            raise ValueError(f"alpha = {self.alpha} is the CE share of mode='mixed'; "
-                             f"mode {self.mode!r} takes alpha = 0")
+        if (self.mode == MIXED) != (self.alpha > 0.0):
+            raise ValueError(f"alpha = {self.alpha} does not fit mode {self.mode!r}: alpha is "
+                             f"the CE share of mode='mixed', which needs alpha > 0, and "
+                             f"every other mode takes alpha = 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if not self.lr > 0:  # also refuses NaN
@@ -234,7 +237,7 @@ def attach_teacher_logits(examples, records) -> list:
     for ex in examples:
         if ex.id not in by_id:
             raise ValueError(f"missing teacher logits for example id={ex.id!r}")
-        out.append(ex.with_teacher_logits(by_id[ex.id]))
+        out.append(replace(ex, teacher_logits=by_id[ex.id]))
     return out
 
 
@@ -246,7 +249,6 @@ def _run_epochs(state, ids, lens, config, batch_grad_fn, eval_set, checkpoint_di
     """Shuffled minibatch Adam; batch_grad_fn(row indices, logits) -> (loss, dlogits)."""
     _stack_labels(eval_set or [], state.config.n_classes)  # bad eval labels fail before a step
     rng = np.random.default_rng(config.seed)
-    adam = AdamConfig(lr=config.lr)
     ledger = RunLedger(seed=config.seed, config_hash=config_hash(state.config, config))
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
@@ -260,7 +262,7 @@ def _run_epochs(state, ids, lens, config, batch_grad_fn, eval_set, checkpoint_di
             loss, dlogits = batch_grad_fn(idx, logits)
             backward(state, cache, dlogits)
             for p in state.parameters():
-                adam_step(p, adam)
+                adam_step(p, config.lr)
             state.bump_version()
             total_loss += loss * len(idx)
         del logits, cache, dlogits  # the last batch's buffers: not held through eval and saves
@@ -383,8 +385,9 @@ def make_surrogate_teacher(pool, model_config: ModelConfig, train_config: TrainC
     return train_direct(state, pool, train_config)
 
 
-# the protocol's fixed seeds: its labeled/unlabeled split and its teacher's init
-_SPLIT_SEED = 17
+# the protocol's fixed seeds: its labeled/unlabeled split (which the CLI's
+# data.labeled_per_class draw shares) and its teacher's init
+SPLIT_SEED = 17
 _TEACHER_SEED = 1000
 
 
@@ -472,10 +475,10 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
     )
     teacher_accuracy = evaluate(teacher, test).accuracy
 
-    labeled_rows, rest_rows = stratified_sample(train_rows, config.labeled_per_class, _SPLIT_SEED)
+    labeled_rows, rest_rows = stratified_sample(train_rows, config.labeled_per_class, SPLIT_SEED)
     n_labeled = config.labeled_per_class * config.n_classes
     unlabeled_rows = sample_rows(
-        rest_rows, config.unlabeled_ratio * n_labeled, _SPLIT_SEED + 1
+        rest_rows, config.unlabeled_ratio * n_labeled, SPLIT_SEED + 1
     )
     labeled = encode_rows(labeled_rows)
     unlabeled = encode_rows(unlabeled_rows, drop_labels=True)

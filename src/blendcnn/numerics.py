@@ -17,14 +17,13 @@ filled it, so no result aliases it and threads never share one.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "NonFiniteError",
     "Parameter",
-    "AdamConfig",
     "GradCheckReport",
     "affine",
     "affine_backward",
@@ -52,6 +51,10 @@ _NARROW_OUT = 16
 # elements, so its temporaries stay small however large the parameter is.
 _ADAM_SLICE = 1 << 15
 
+# Adam's decay rates and denominator offset: the defaults of Kingma & Ba,
+# "Adam: A Method for Stochastic Optimization" (ICLR 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 # per-thread im2col buffer shared by conv1d and conv1d_backward
 _scratch = threading.local()
 
@@ -64,51 +67,26 @@ class NonFiniteError(ValueError):
 class Parameter:
     """A trainable tensor: value plus gradient buffer and Adam moment state.
 
-    ``value``, ``grad``, ``m`` and ``v`` always share one shape and are
-    stored C-contiguous, so a flat view of each is the array itself;
-    ``step`` counts optimizer updates applied to this parameter.
+    Only ``name`` and ``value`` are given; ``value`` is stored float64 and
+    C-contiguous, and ``grad``, ``m`` and ``v`` start as zeros of its shape,
+    so a flat view of each is the array itself.  ``step`` counts optimizer
+    updates applied to this parameter.
     """
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = None
-    m: np.ndarray = None
-    v: np.ndarray = None
-    step: int = 0
+    grad: np.ndarray = field(init=False)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    step: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64, order="C")
-        for label in ("grad", "m", "v"):
-            buf = getattr(self, label)
-            buf = np.zeros_like(self.value) if buf is None else np.asarray(buf, order="C")
-            if buf.shape != self.value.shape:
-                raise ValueError(
-                    f"parameter '{self.name}': {label} shape {buf.shape} "
-                    f"!= value shape {self.value.shape}"
-                )
-            setattr(self, label, buf)
+        self.grad, self.m, self.v = (np.zeros_like(self.value) for _ in range(3))
 
     @property
     def size(self) -> int:
         return self.value.size
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    """Adam hyperparameters; the learning rate is constant (no schedule)."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not self.lr > 0:  # also refuses NaN
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in (0,1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +290,23 @@ def mae_loss_backward(student, teacher):
     return np.sign(student - teacher) / student.size
 
 
-def adam_step(p: Parameter, cfg: AdamConfig) -> Parameter:
+def adam_step(p: Parameter, lr: float) -> Parameter:
     """One Adam update with bias correction; zeroes p.grad afterwards.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         value <- value - lr * m_hat / (sqrt(v_hat) + eps)
 
+    with b1 = 0.9, b2 = 0.999 and eps = 1e-8, and a constant learning rate.
     Updates in place, over flat slices of ``_ADAM_SLICE`` elements, with
     slice-sized scratch buffers: nothing full-size is allocated, and every
     element goes through the same operations in the same order as the
     whole-array formula, so the result is bitwise the same.
 
-    Raises NonFiniteError (naming the parameter) on a NaN/Inf gradient,
-    before anything is written.
+    Raises ValueError on a non-positive or NaN ``lr``, and NonFiniteError
+    (naming the parameter) on a NaN/Inf gradient, before anything is written.
     """
+    if not lr > 0:  # also refuses NaN
+        raise ValueError(f"lr must be positive, got {lr}")
     arrays = (p.value, p.grad, p.m, p.v)
     if not all(a.flags.c_contiguous for a in arrays):
         raise ValueError(f"parameter '{p.name}': buffers must be C-contiguous")
@@ -338,7 +319,7 @@ def adam_step(p: Parameter, cfg: AdamConfig) -> Parameter:
         if not np.isfinite(g, out=flags[: g.size]).all():
             raise NonFiniteError(f"non-finite gradient for parameter '{p.name}'")
     p.step += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = _BETA1, _BETA2
     c1, c2 = 1.0 - b1**p.step, 1.0 - b2**p.step
     num, den = np.empty(n), np.empty(n)
     for s in slices:
@@ -348,9 +329,9 @@ def adam_step(p: Parameter, cfg: AdamConfig) -> Parameter:
         ms += np.multiply(1.0 - b1, g, out=a)
         vs *= b2
         vs += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
-        np.multiply(cfg.lr, np.divide(ms, c1, out=a), out=a)
+        np.multiply(lr, np.divide(ms, c1, out=a), out=a)
         np.sqrt(np.divide(vs, c2, out=b), out=b)
-        b += cfg.eps
+        b += _EPS
         value[s] -= np.divide(a, b, out=a)
         g[...] = 0.0
     return p
@@ -367,14 +348,15 @@ class GradCheckReport:
         return self.max_rel_err < tolerance
 
 
-def grad_check(loss_fn, params, h: float = 1e-5) -> GradCheckReport:
+def grad_check(loss_fn, params) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     ``loss_fn()`` must return the scalar loss and write fresh analytic
     gradients into every Parameter in ``params`` as a side effect.  Every
-    entry of every parameter is perturbed by +-h; the relative error is
+    entry of every parameter is perturbed by +-1e-5; the relative error is
     |a - n| / max(|a|, |n|, 1e-8).  Report-only: never raises on mismatch.
     """
+    h = 1e-5
     loss_fn()
     analytic = {p.name: p.grad.copy() for p in params}
 

@@ -11,7 +11,7 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,15 +137,14 @@ class Example:
     label: int = None
     teacher_logits: np.ndarray = None
 
-    def with_teacher_logits(self, logits) -> "Example":
-        return replace(self, teacher_logits=np.asarray(logits, dtype=np.float64))
-
 
 def encode_dataset(rows, vocab: Vocabulary, seq_len: int) -> list:
-    """Encode (id, text, label) rows into Examples; label may be None."""
+    """Encode (id, text, label) rows into Examples; label may be None, and a row needs a token."""
     out = []
     for row_id, text, label in rows:
         ids, valid = encode(tokenize(text), vocab, seq_len)
+        if not valid:
+            raise ValueError(f"row {row_id!r} has no tokens")
         out.append(Example(id=row_id, token_ids=ids, valid_len=valid, label=label))
     return out
 
@@ -158,8 +157,9 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
 
     In-vocab tokens take their file vectors (first occurrence wins); missing
     tokens are initialized uniform(-0.05, 0.05) from ``seed``; the PAD row is
-    zero and frozen.  Malformed lines and dimension mismatches raise with the
-    offending line number.
+    zero and frozen.  A dimension mismatch on any line, and a non-numeric or
+    non-finite value in a vector that is used, raise ValueError naming
+    ``path:line``.
     """
     rng = np.random.default_rng(seed)
     size = len(vocab)
@@ -183,6 +183,8 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
                 vec = np.array([float(v) for v in values])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: non-numeric embedding value") from exc
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{line_no}: non-finite embedding value")
             idx = vocab.token_to_id[token]
             matrix[idx] = vec
             seen.add(token)
@@ -211,8 +213,8 @@ class CsvSchema:
         # csv rows would take a negative index from the end, silently
         if self.label_col < 0:
             raise ValueError(f"label_col must be >= 0, got {self.label_col}")
-        if any(col < 0 for col in self.text_cols):
-            raise ValueError(f"text_cols must all be >= 0, got {self.text_cols}")
+        if not self.text_cols or any(col < 0 for col in self.text_cols):
+            raise ValueError(f"text_cols must be one or more columns >= 0, got {self.text_cols}")
 
 
 def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> list:

@@ -25,7 +25,6 @@ from blendcnn.distill import (
 )
 from blendcnn.models import ModelConfig, backward, forward, init_model, param_count, save_checkpoint
 from blendcnn.numerics import (
-    AdamConfig,
     Parameter,
     adam_step,
     affine,
@@ -79,8 +78,7 @@ def test_01_gradient_fidelity():
         ids = rng.integers(2, cfg.vocab_size, size=(2, cfg.seq_len))
         lens = np.full(2, cfg.seq_len)
         labels = rng.integers(0, 3, size=2)
-        rep = grad_check(_ce_loss(state, ids, lens, labels), state.parameters(),
-                         h=1e-5)
+        rep = grad_check(_ce_loss(state, ids, lens, labels), state.parameters())
         worst[kind] = rep.max_rel_err
     elapsed = time.perf_counter() - start
     detail = (f"max rel err blendcnn {worst['blendcnn']:.2e}, "
@@ -167,7 +165,7 @@ def test_02_oracle_equivalence():
     errs["mae_loss"] = worst
 
     worst = 0.0
-    cfg = AdamConfig()
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
     for _ in range(n):
         shape = (rng.integers(1, 4), rng.integers(1, 4))
         p = Parameter("p", rng.normal(size=shape))
@@ -177,14 +175,14 @@ def test_02_oracle_equivalence():
         p.grad = rng.normal(size=shape)
         value, m, v, g, t = (p.value.copy(), p.m.copy(), p.v.copy(),
                              p.grad.copy(), p.step + 1)
-        adam_step(p, cfg)
+        adam_step(p, lr)
         for i in range(shape[0]):
             for j in range(shape[1]):
-                em = cfg.beta1 * m[i, j] + (1 - cfg.beta1) * g[i, j]
-                ev = cfg.beta2 * v[i, j] + (1 - cfg.beta2) * g[i, j] ** 2
-                m_hat = em / (1 - cfg.beta1 ** t)
-                v_hat = ev / (1 - cfg.beta2 ** t)
-                want = value[i, j] - cfg.lr * m_hat / (math.sqrt(v_hat) + cfg.eps)
+                em = beta1 * m[i, j] + (1 - beta1) * g[i, j]
+                ev = beta2 * v[i, j] + (1 - beta2) * g[i, j] ** 2
+                m_hat = em / (1 - beta1 ** t)
+                v_hat = ev / (1 - beta2 ** t)
+                want = value[i, j] - lr * m_hat / (math.sqrt(v_hat) + eps)
                 worst = max(worst, rel_err(p.value[i, j], want))
                 worst = max(worst, rel_err(p.m[i, j], em))
                 worst = max(worst, rel_err(p.v[i, j], ev))

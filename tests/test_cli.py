@@ -177,6 +177,13 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "unknown config key" in proc.stderr
 
+    def test_split_seed_is_no_key(self, tmp_path, capsys):
+        # a labeled_per_class draw always takes the distillation protocol's split seed
+        code = cli.main(["param-count", "--set", "model.vocab_size=100",
+                         "--set", "data.split_seed=17", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "unknown config key 'data.split_seed'" in capsys.readouterr().err
+
     def test_set_without_value_is_config_error(self, tmp_path):
         proc = run_cli(["param-count", "--set", "model.n_layers"], tmp_path)
         assert proc.returncode == 4
@@ -316,6 +323,33 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "run" / "checkpoints").exists()
 
+    def test_training_row_without_tokens_is_named_before_any_step(self, pipeline, tmp_path,
+                                                                  capsys):
+        # pool.csv has 36 rows; row 36 is punctuation only, so it has no tokens
+        rows = (pipeline / "pool.csv").read_text()
+        (tmp_path / "bad.csv").write_text(rows + '"1","?!","--"\n')
+        code = cli.main(["train", *TINY,
+                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                         "--set", f"data.train_csv={tmp_path}/bad.csv",
+                         "--set", "train.epochs=1", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "bad.csv:36" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_embedding_value_names_its_line(self, pipeline, tmp_path, capsys,
+                                                       value):
+        # the pipeline's models embed in 8 dimensions; "market" is in the vocabulary
+        vector = " ".join(["0.1"] * 7)
+        (tmp_path / "glove.txt").write_text(f"market {vector} 0.1\nteam {vector} {value}\n")
+        code = cli.main(["train", *TINY,
+                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                         "--set", f"data.train_csv={pipeline}/pool.csv",
+                         "--set", f"data.embeddings={tmp_path}/glove.txt",
+                         "--set", "train.epochs=1", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "glove.txt:2" in capsys.readouterr().err
+
     def test_duplicate_logit_id_is_config_error(self, pipeline, tmp_path):
         lines = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()
         (tmp_path / "logits.jsonl").write_text("\n".join(lines + lines[:1]) + "\n")
@@ -330,8 +364,10 @@ class TestExitCodes:
 
     # in-process, so a traceback fails the test rather than only its exit code
     @pytest.mark.parametrize("record", ['{"id": ["x"], "logits": [0.0, 1.0, 2.0]}',
-                                        '{"id": "x", "logits": "abcd"}'],
-                             ids=["list_id", "string_logits"])
+                                        '{"id": "x", "logits": "abcd"}',
+                                        '{"id": "x", "logits": [[0.0, 1.0, 2.0]]}',
+                                        '{"id": "x", "logits": []}'],
+                             ids=["list_id", "string_logits", "matrix_logits", "empty_logits"])
     def test_malformed_logit_record_names_its_line(self, pipeline, tmp_path, capsys, record):
         good = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()[0]
         (tmp_path / "bad.jsonl").write_text(f"{good}\n{record}\n")
@@ -343,8 +379,9 @@ class TestExitCodes:
         assert code == 4
         assert "bad.jsonl:2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("text_cols", "[-1]"), ("label_col", "-1")],
-                             ids=["text_cols", "label_col"])
+    @pytest.mark.parametrize("key, value", [("text_cols", "[-1]"), ("label_col", "-1"),
+                                            ("text_cols", "[]")],
+                             ids=["text_cols", "label_col", "empty_text_cols"])
     def test_negative_csv_column_is_config_error(self, pipeline, tmp_path, capsys, key, value):
         code = cli.main(["build-vocab", "--set", f"data.train_csv={pipeline}/pool.csv",
                          "--set", f"data.{key}={value}", "--out", str(tmp_path / "run")])

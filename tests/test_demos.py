@@ -1,4 +1,4 @@
-"""The demos import only names the package still has; the quick numeric demo also runs."""
+"""The demos import only names the package still has; the quick ones also run."""
 import ast
 import importlib
 import os
@@ -27,15 +27,28 @@ def test_demos_found():
     assert len(DEMOS) >= 5
 
 
-def test_check_numerics_demo_runs():
-    demo = next(d for d in DEMOS if d.name == "check_numerics.py")
+def _run_demo(name, tmp_dir):
+    """Run one demo in a fresh interpreter, with its temporary files under ``tmp_dir``."""
+    demo = next(d for d in DEMOS if d.name == name)
     import blendcnn
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(pathlib.Path(blendcnn.__file__).resolve().parent.parent),
                     env.get("PYTHONPATH", "")] if p)
+    env["TMPDIR"] = str(tmp_dir)
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_check_numerics_demo_runs(tmp_path):
+    proc = _run_demo("check_numerics.py", tmp_path)
     assert "conv1d([1,2,3,4], [1,0,-1]) -> [-2. -2. -2.  3.]" in proc.stdout
     assert proc.stdout.rstrip().endswith("ok")
+
+
+@pytest.mark.parametrize("name", ["text_pipeline.py", "train_small.py"])
+def test_demo_runs_and_cleans_up_its_temporary_files(name, tmp_path):
+    _run_demo(name, tmp_path)
+    assert list(tmp_path.iterdir()) == []

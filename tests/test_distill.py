@@ -8,7 +8,7 @@ import pytest
 
 from blendcnn import distill
 from blendcnn.models import ModelConfig, init_model, load_checkpoint
-from blendcnn.numerics import AdamConfig
+from blendcnn.numerics import Parameter, adam_step
 from blendcnn.synthetic import docs_to_rows, generate_docs
 from blendcnn.text import Example
 from blendcnn.distill import (
@@ -70,10 +70,11 @@ def with_logits(examples, state, batch_size=8):
 
 class TestTrainConfig:
     def test_distill_mae_requires_alpha_zero(self):
-        # a CE share is blended in only by mode='mixed'; no other mode reads alpha
-        for mode in (DISTILL_MAE, DIRECT_CE):
+        # a CE share is blended in only by mode='mixed', which needs one; no other mode
+        # reads alpha
+        for mode, alpha in ((DISTILL_MAE, 0.5), (DIRECT_CE, 0.5), (MIXED, 0.0)):
             with pytest.raises(ValueError, match="alpha"):
-                TrainConfig(mode=mode, alpha=0.5)
+                TrainConfig(mode=mode, alpha=alpha)
         assert TrainConfig(mode=MIXED, alpha=0.5).alpha == 0.5
 
     def test_unknown_mode_rejected(self):
@@ -85,7 +86,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
         with pytest.raises(ValueError, match="lr"):
-            AdamConfig(lr=lr)
+            adam_step(Parameter("w", np.zeros(1)), lr)
 
     def test_config_hash_tracks_content(self):
         model = tiny_model().config
@@ -117,6 +118,12 @@ class TestLogitExchange:
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError, match="finite|nan|inf"):
             LogitRecord("x", [1.0, float("nan")])
+
+    @pytest.mark.parametrize("logits", [[[1.0, 2.0, 3.0, 4.0]], [], 1.0],
+                             ids=["matrix", "empty", "scalar"])
+    def test_logits_must_be_one_nonempty_row(self, logits):
+        with pytest.raises(ValueError, match="shape"):
+            LogitRecord("x", logits)
 
     def test_attach_requires_every_id(self):
         examples = make_examples(3, seed=3)

@@ -7,7 +7,6 @@ import pytest
 
 from blendcnn import numerics
 from blendcnn.numerics import (
-    AdamConfig,
     NonFiniteError,
     Parameter,
     adam_step,
@@ -418,17 +417,21 @@ class TestSoftmaxAndLosses:
             mae_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
-def textbook_adam(value, grad, m, v, step, cfg):
+# Kingma & Ba's defaults, written out so the references below do not read the code's
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def textbook_adam(value, grad, m, v, step, lr):
     """The whole-array Adam update, on copies: (value, grad, m, v, step)."""
     value, m, v = value.copy(), m.copy(), v.copy()
     step += 1
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * np.square(grad)
-    m_hat = m / (1.0 - cfg.beta1**step)
-    v_hat = v / (1.0 - cfg.beta2**step)
-    value -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * np.square(grad)
+    m_hat = m / (1.0 - BETA1**step)
+    v_hat = v / (1.0 - BETA2**step)
+    value -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     return value, np.zeros_like(grad), m, v, step
 
 
@@ -440,7 +443,6 @@ class TestAdam:
     @pytest.mark.parametrize("size", [1, numerics._ADAM_SLICE, 3 * numerics._ADAM_SLICE + 17])
     def test_bitwise_equal_to_whole_array_update(self, size):
         rng = np.random.default_rng(30)
-        cfg = AdamConfig(lr=1e-2)
         p = Parameter("w", rng.normal(size=size))
         want = (p.value.copy(), p.grad.copy(), p.m.copy(), p.v.copy(), 0)
         for _ in range(5):
@@ -448,8 +450,8 @@ class TestAdam:
             grad = rng.normal(size=size) * (rng.random(size) < 0.1)
             p.grad[...] = grad
             value, _, m, v, step = want
-            want = textbook_adam(value, grad, m, v, step, cfg)
-            adam_step(p, cfg)
+            want = textbook_adam(value, grad, m, v, step, 1e-2)
+            adam_step(p, 1e-2)
             for got, expected in zip(adam_fields(p), want):
                 assert np.array_equal(got, expected)
 
@@ -458,13 +460,13 @@ class TestAdam:
         size = 3 * numerics._ADAM_SLICE + 17
         p = Parameter("w", rng.normal(size=size))
         p.grad[...] = rng.normal(size=size)
-        adam_step(p, AdamConfig())
+        adam_step(p, 1e-3)
         # the bad entry sits in the last slice, after three clean ones
         p.grad[...] = rng.normal(size=size)
         p.grad[-1] = np.inf
         before, step = [f.copy() for f in (p.value, p.m, p.v)], p.step
         with pytest.raises(NonFiniteError):
-            adam_step(p, AdamConfig())
+            adam_step(p, 1e-3)
         for got, expected in zip((p.value, p.m, p.v), before):
             assert np.array_equal(got, expected)
         assert p.step == step
@@ -472,19 +474,18 @@ class TestAdam:
     def test_non_contiguous_value_still_moves(self):
         value = np.arange(6.0).reshape(2, 3).T
         assert not value.flags.c_contiguous
-        cfg = AdamConfig(lr=1e-2)
         p = Parameter("w", value)
         p.grad[...] = 1.0
         want = textbook_adam(value, np.ones_like(value), np.zeros_like(value),
-                             np.zeros_like(value), 0, cfg)
-        adam_step(p, cfg)
+                             np.zeros_like(value), 0, 1e-2)
+        adam_step(p, 1e-2)
         assert not np.array_equal(p.value, value)
         for got, expected in zip(adam_fields(p), want):
             assert np.array_equal(got, expected)
 
     def test_matches_scalar_recurrence(self):
         rng = np.random.default_rng(15)
-        cfg = AdamConfig(lr=1e-3)
+        lr = 1e-3
         p = Parameter("w", np.array([0.3]))
         # reference: textbook update tracked step by step in plain python
         m = v = 0.0
@@ -492,12 +493,12 @@ class TestAdam:
         for t in range(1, 51):
             g = float(rng.normal())
             p.grad[:] = g
-            adam_step(p, cfg)
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            x -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            adam_step(p, lr)
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            x -= lr * m_hat / (np.sqrt(v_hat) + EPS)
             assert rel_err(p.value, np.array([x])) < 1e-12
 
     def test_first_step_is_lr_sized(self):
@@ -505,24 +506,35 @@ class TestAdam:
         for scale in (1e-4, 1.0, 1e6):
             p = Parameter("w", np.zeros(1))
             p.grad[:] = scale
-            adam_step(p, AdamConfig(lr=1e-3))
+            adam_step(p, 1e-3)
             assert abs(p.value[0] + 1e-3) < 1e-6
 
     def test_grad_cleared_after_step(self):
         p = Parameter("w", np.ones(3))
         p.grad[:] = 1.0
-        adam_step(p, AdamConfig())
+        adam_step(p, 1e-3)
         np.testing.assert_array_equal(p.grad, np.zeros(3))
 
     def test_nonfinite_grad_rejected_by_name(self):
         p = Parameter("conv1.w", np.ones(2))
         p.grad[:] = [1.0, np.nan]
         with pytest.raises(NonFiniteError, match="conv1.w"):
-            adam_step(p, AdamConfig())
+            adam_step(p, 1e-3)
 
     def test_lr_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AdamConfig(lr=0.0)
+        p = Parameter("w", np.ones(2))
+        p.grad[:] = 1.0
+        with pytest.raises(ValueError, match="lr"):
+            adam_step(p, 0.0)
+        assert p.step == 0 and np.array_equal(p.value, np.ones(2))
+
+    def test_parameter_takes_only_name_and_value(self):
+        with pytest.raises(TypeError):
+            Parameter("w", np.ones(2), grad=np.zeros(2))
+        p = Parameter("w", [[1, 2], [3, 4]])
+        assert p.value.dtype == np.float64 and p.step == 0
+        for buf in (p.grad, p.m, p.v):
+            assert buf.shape == (2, 2) and not buf.any() and buf.flags.c_contiguous
 
 
 class TestGradCheck:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from blendcnn.distill import LogitRecord, attach_teacher_logits
 from blendcnn.text import (
     PAD_ID,
     PAD_TOKEN,
@@ -118,9 +119,13 @@ class TestEncode:
 
     def test_with_teacher_logits_returns_new_example(self):
         ex = Example(id="e", token_ids=np.zeros(3, dtype=np.int64), valid_len=1)
-        ex2 = ex.with_teacher_logits([1, 2])
+        (ex2,) = attach_teacher_logits([ex], [LogitRecord("e", [1, 2])])
         assert ex.teacher_logits is None
         assert ex2.teacher_logits.dtype == np.float64
+
+    def test_encode_dataset_names_a_row_without_tokens(self, vocab):
+        with pytest.raises(ValueError, match="'r1' has no tokens"):
+            encode_dataset([("r0", "a b", 1), ("r1", " ?! ", 1)], vocab, 4)
 
 
 class TestGlove:
@@ -151,6 +156,14 @@ class TestGlove:
         path = tmp_path / "vectors.txt"
         path.write_text("apple 1.0 2.0\nbroken 1.0\n")
         with pytest.raises(ValueError, match="2"):
+            load_glove(path, vocab, embed_dim=2, seed=0)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        vocab = build_vocab([["apple", "pear"]], cap=10)
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"apple 1.0 2.0\npear 1.0 {value}\n")
+        with pytest.raises(ValueError, match="vectors.txt:2: non-finite"):
             load_glove(path, vocab, embed_dim=2, seed=0)
 
 
