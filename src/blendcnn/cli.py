@@ -173,6 +173,8 @@ def load_config(config_path, overrides) -> dict:
         except json.JSONDecodeError:
             value = raw  # bare strings need no quotes
         cfg[key] = _coerce(key, value)
+    if (n := cfg["data.labeled_per_class"]) < 0:
+        raise ConfigError(f"data.labeled_per_class must be >= 0, got {n}")
     return cfg
 
 

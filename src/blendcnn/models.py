@@ -5,17 +5,21 @@ pool), concat the pooled stages, a head, then the logits layer.  BlendCNN's
 same-padded width-5 stages each read the stage before, and its head is a
 relu dense blend layer.  KimCNN's stages, one per width in ``kernel_widths``
 (default 3, 5, 7), all read the embeddings, and its head is dropout in train
-mode only.  ``_param_shapes`` is the one table of parameter names and shapes.
-KimCNN's per-stage embedding gradients are summed in forward stage order:
-float addition does not associate, so the order fixes the trained bits.
+mode only.  ``_layout`` is the one description of a model: its conv stages
+in forward order and every parameter's name, shape, byte offset and byte
+count, in creation, RNG-draw and checkpoint file order.  KimCNN's per-stage
+embedding gradients are summed in forward stage order: float addition does
+not associate, so the order fixes the trained bits.
 
 The forward canonicalizes every batch to the model's fixed seq_len, so
 logits are bitwise independent of how many PAD tokens trail an example.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -81,7 +85,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in (BLENDCNN, KIMCNN):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        for name in (
+        object.__setattr__(self, "kernel_widths", tuple(self.kernel_widths))
+        extents = [(name, getattr(self, name)) for name in (
             "n_classes",
             "seq_len",
             "vocab_size",
@@ -90,22 +95,20 @@ class ModelConfig:
             "n_channels",
             "kernel_width",
             "dense_width",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        )]
+        for name, value in extents + [("kernel_widths", k) for k in self.kernel_widths]:
+            if type(value) is not int or value < 1:  # a float or bool extent breaks every reader
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must cover the reserved PAD/UNK ids")
-        if self.kernel_width % 2 == 0:
-            raise ValueError(f"kernel_width must be odd, got {self.kernel_width}")
-        object.__setattr__(self, "kernel_widths", tuple(self.kernel_widths))
+        for width in (self.kernel_width, *self.kernel_widths):
+            if width % 2 == 0:  # same padding
+                raise ValueError(f"kernel widths must be odd, got {width}")
         if not self.kernel_widths or len(set(self.kernel_widths)) != len(self.kernel_widths):
             # each width names one parameter block, convw{K}
             raise ValueError(
                 f"kernel widths must be distinct and non-empty, got {self.kernel_widths}"
             )
-        for width in self.kernel_widths:
-            if width < 1 or width % 2 == 0:
-                raise ValueError(f"kernel widths must be odd and positive, got {width}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
@@ -133,37 +136,42 @@ class ModelState:
         self.version += 1
 
 
-def _param_shapes(config: ModelConfig) -> dict:
-    """Name -> shape of every parameter, in creation (and RNG draw) order.
+# One conv stage: its weight and bias names, kernel width, input channels, and
+# whether it reads the stage before (BlendCNN's after the first) or the embedding.
+_Stage = namedtuple("_Stage", "w b width c_in reads_previous")
+# One parameter, and where its '<f8' buffer sits in a checkpoint's payload.
+_Block = namedtuple("_Block", "name shape offset nbytes")
+_Layout = namedtuple("_Layout", "stages blocks")
 
-    The one description of a model's layout: the conv stages (BlendCNN's
-    ``conv1..convN`` each read the stage before, KimCNN's ``convw{K}`` all
-    read the embedding), BlendCNN's blend layer, and the logits layer.
+
+def _layout(config: ModelConfig):
+    """The conv stages in forward order, and every parameter's block in
+    creation, RNG-draw and checkpoint file order.
+
+    BlendCNN's ``conv1..convN`` each read the stage before, KimCNN's ``convw{K}``
+    all read the embedding; BlendCNN adds its blend layer before the logits layer.
     """
-    n_ch = config.n_channels
-    shapes = {"embedding": (config.vocab_size, config.embed_dim)}
+    n_ch, dim = config.n_channels, config.embed_dim
     if config.kind == BLENDCNN:
-        stages = [(f"conv{i + 1}", config.kernel_width, n_ch if i else config.embed_dim)
-                  for i in range(config.n_layers)]
+        stages = [_Stage(f"conv{i}.w", f"conv{i}.b", config.kernel_width,
+                         n_ch if i > 1 else dim, i > 1) for i in range(1, config.n_layers + 1)]
     else:
-        stages = [(f"convw{width}", width, config.embed_dim) for width in config.kernel_widths]
-    for name, width, c_in in stages:
-        shapes[f"{name}.w"] = (width, c_in, n_ch)
-        shapes[f"{name}.b"] = (n_ch,)
+        stages = [_Stage(f"convw{k}.w", f"convw{k}.b", k, dim, False)
+                  for k in config.kernel_widths]
+    shapes = [("embedding", (config.vocab_size, dim))]
+    for stage in stages:
+        shapes += [(stage.w, (stage.width, stage.c_in, n_ch)), (stage.b, (n_ch,))]
     features = len(stages) * n_ch
     if config.kind == BLENDCNN:
-        shapes["blend.w"] = (features, config.dense_width)
-        shapes["blend.b"] = (config.dense_width,)
+        shapes += [("blend.w", (features, config.dense_width)), ("blend.b", (config.dense_width,))]
         features = config.dense_width
-    shapes["logits.w"] = (features, config.n_classes)
-    shapes["logits.b"] = (config.n_classes,)
-    return shapes
-
-
-def _conv_stages(config: ModelConfig) -> list:
-    """Block names of the conv stages, in forward order."""
-    return [name[:-2] for name in _param_shapes(config)
-            if name.startswith("conv") and name.endswith(".w")]
+    shapes += [("logits.w", (features, config.n_classes)), ("logits.b", (config.n_classes,))]
+    blocks = []
+    offset = 0
+    for name, shape in shapes:
+        blocks.append(_Block(name, shape, offset, 8 * math.prod(shape)))
+        offset += blocks[-1].nbytes
+    return _Layout(stages, blocks)
 
 
 def init_model(config: ModelConfig, seed: int, embeddings: np.ndarray = None) -> ModelState:
@@ -174,7 +182,7 @@ def init_model(config: ModelConfig, seed: int, embeddings: np.ndarray = None) ->
     """
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape, _, _ in _layout(config).blocks:
         if name == "embedding":
             if embeddings is None:
                 value = rng.uniform(-0.05, 0.05, size=shape)
@@ -254,25 +262,21 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
     Returns (logits [B, C], ForwardCache).
     """
     config = state.config
-    chained = config.kind == BLENDCNN
     ids, lens = _canonical_batch(config, token_ids, valid_lens)
     embedded = state.param("embedding").value[ids]
 
     conv_outputs = []
     branches = []
-    x = embedded
-    for name in _conv_stages(config):
-        z = conv1d(x, state.param(f"{name}.w").value, state.param(f"{name}.b").value)
-        h = relu(z)
+    for stage in _layout(config).stages:
+        x = conv_outputs[-1] if stage.reads_previous else embedded
+        h = relu(conv1d(x, state.param(stage.w).value, state.param(stage.b).value))
         conv_outputs.append(h)
         branches.append(masked_max_pool(h, lens))
-        if chained:
-            x = h
 
     concat = np.concatenate(branches, axis=1)
     features = concat
     mask = None
-    if chained:
+    if config.kind == BLENDCNN:
         features = relu(affine(concat, state.param("blend.w").value,
                                state.param("blend.b").value))
     elif train and config.dropout > 0.0:
@@ -321,14 +325,13 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
             f"state is now {state.version}"
         )
     config = state.config
-    chained = config.kind == BLENDCNN
 
     d_features, dw, db = affine_backward(
         cache.features, state.param("logits.w").value, dlogits
     )
     state.param("logits.w").grad[...] = dw
     state.param("logits.b").grad[...] = db
-    if chained:
+    if config.kind == BLENDCNN:
         d_blend_pre = relu_backward(cache.features, d_features)
         d_concat, dw, db = affine_backward(
             cache.concat, state.param("blend.w").value, d_blend_pre
@@ -341,24 +344,21 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
         d_concat = d_features
 
     n_ch = config.n_channels
-    stages = _conv_stages(config)
-    d_next = None  # BlendCNN: gradient reaching stage i's output through stage i+1
+    d_next = None  # gradient reaching stage i's output through stage i+1
     d_embedded = []  # per stage that reads the embedding, last stage first
-    for i in reversed(range(len(stages))):
+    for i, stage in reversed(list(enumerate(_layout(config).stages))):
         branch = slice(i * n_ch, (i + 1) * n_ch)
         d_h = max_pool_backward(cache.conv_outputs[i], cache.concat[:, branch],
                                 d_concat[:, branch])
         if d_next is not None:
             d_h = d_h + d_next
         d_z = relu_backward(cache.conv_outputs[i], d_h)
-        reads_previous = chained and i > 0
-        x = cache.conv_outputs[i - 1] if reads_previous else cache.embedded
-        d_x, dw, db = conv1d_backward(x, state.param(f"{stages[i]}.w").value, d_z)
-        state.param(f"{stages[i]}.w").grad[...] = dw
-        state.param(f"{stages[i]}.b").grad[...] = db
-        if reads_previous:
-            d_next = d_x
-        else:
+        x = cache.conv_outputs[i - 1] if stage.reads_previous else cache.embedded
+        d_x, dw, db = conv1d_backward(x, state.param(stage.w).value, d_z)
+        state.param(stage.w).grad[...] = dw
+        state.param(stage.b).grad[...] = db
+        d_next = d_x if stage.reads_previous else None
+        if not stage.reads_previous:
             d_embedded.append(d_x)
 
     # Sum in forward stage order, (d_w3 + d_w5) + d_w7: float addition does not
@@ -380,7 +380,7 @@ def param_count(config: ModelConfig):
     embedding row is counted even though it never updates).
     """
     breakdown = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape, _, _ in _layout(config).blocks:
         block = name.split(".")[0]
         breakdown[block] = breakdown.get(block, 0) + math.prod(shape)
     return sum(breakdown.values()), breakdown
@@ -394,30 +394,40 @@ def param_count(config: ModelConfig):
 #   bytes 8..11   uint32 format version (1)
 #   bytes 12..15  uint32 header length N
 #   bytes 16..16+N  UTF-8 JSON header: {"format_version", "config", "seed",
-#                   "params": [{"name", "shape", "offset", "nbytes"}, ...]}
-#   remainder     concatenated raw row-major '<f8' buffers
+#                   "params": [{"name", "shape", "offset", "nbytes"}, ...]}, the
+#                   params exactly the config's _layout blocks, in that order
+#   remainder     the blocks' raw row-major '<f8' buffers, concatenated
 #
 # No timestamps anywhere, so identical states serialize to identical bytes.
 
 
+def _shape_problems(blocks, stored) -> list:
+    """What keeps the (name, shape, ...) entries ``stored`` from naming the layout's ``blocks``."""
+    expected = {b.name: b.shape for b in blocks}
+    names = [name for name, *_ in stored]
+    problems = [f"missing {name}" for name in expected if name not in names]
+    problems += [f"unexpected {name}" for name in names if name not in expected]
+    problems += [f"{name} has shape {shape}, config needs {expected[name]}"
+                 for name, shape, *_ in stored if name in expected and shape != expected[name]]
+    return problems
+
+
 def save_checkpoint(state: ModelState, path) -> None:
-    """Serialize config, seed, and parameter values (not optimizer state)."""
-    entries = []
-    offset = 0
-    buffers = []
-    for name, p in state.params.items():
-        buf = np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-        entries.append(
-            {"name": name, "shape": list(p.value.shape), "offset": offset, "nbytes": len(buf)}
-        )
-        buffers.append(buf)
-        offset += len(buf)
+    """Serialize config, seed, and parameter values (not optimizer state).
+
+    Raises CheckpointError, writing nothing, if the state's parameters are not
+    the ones its config lays out.
+    """
+    blocks = _layout(state.config).blocks
+    problems = _shape_problems(blocks, [(n, p.value.shape) for n, p in state.params.items()])
+    if problems:
+        raise CheckpointError(f"{path}: state does not match its config: " + "; ".join(problems))
     header = json.dumps(
         {
             "format_version": _CKPT_VERSION,
             "config": asdict(state.config),
             "seed": state.seed,
-            "params": entries,
+            "params": [b._asdict() for b in blocks],
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -426,20 +436,8 @@ def save_checkpoint(state: ModelState, path) -> None:
         fh.write(np.uint32(_CKPT_VERSION).tobytes())
         fh.write(np.uint32(len(header)).tobytes())
         fh.write(header)
-        for buf in buffers:
-            fh.write(buf)
-
-
-def _read_header(raw: bytes):
-    """(config, seed, blocks) from header bytes; blocks are (name, shape, offset, nbytes).
-
-    Raises KeyError, TypeError or ValueError on anything malformed.
-    """
-    header = json.loads(raw.decode("utf-8"))
-    config = ModelConfig(**header["config"])  # __post_init__ makes kernel_widths a tuple
-    blocks = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]), int(e["nbytes"]))
-              for e in header["params"]]
-    return config, header["seed"], blocks
+        for b in blocks:
+            fh.write(np.ascontiguousarray(state.params[b.name].value, dtype="<f8"))
 
 
 def load_checkpoint(path) -> ModelState:
@@ -447,8 +445,9 @@ def load_checkpoint(path) -> ModelState:
 
     Gradients and Adam moments come back zeroed; eval-mode forward output is
     bitwise identical to the saved state's.  Any file that save_checkpoint
-    could not have written raises CheckpointError: the parameter blocks must
-    tile the payload from offset 0 with no gap, overlap or trailing byte.
+    could not have written raises CheckpointError: the header's block table
+    must be the config's layout, entry for entry, and the payload exactly as
+    long as the blocks it lists.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -462,39 +461,30 @@ def load_checkpoint(path) -> ModelState:
     if 16 + header_len > len(blob):
         raise CheckpointError(f"{path}: truncated header")
     try:
-        config, seed, blocks = _read_header(blob[16 : 16 + header_len])
+        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+        config = ModelConfig(**header["config"])  # __post_init__ makes kernel_widths a tuple
+        seed = header["seed"]
+        if type(seed) is not int:
+            raise TypeError(f"seed {seed!r} is not an int")
+        stored = [_Block(str(e["name"]), tuple(e["shape"]), e["offset"], e["nbytes"])
+                  for e in header["params"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc!r})") from exc
     payload = blob[16 + header_len :]
 
-    expected = _param_shapes(config)
-    stored = {name: shape for name, shape, _, _ in blocks}
-    problems = [f"missing {name}" for name in expected if name not in stored]
-    problems += [f"unexpected {name}" for name in stored if name not in expected]
-    problems += [
-        f"{name} has shape {shape}, config needs {expected[name]}"
-        for name, shape in stored.items()
-        if name in expected and shape != expected[name]
-    ]
-    if len(stored) != len(blocks):
-        problems.append("a parameter name repeats")
+    blocks = _layout(config).blocks
+    problems = _shape_problems(blocks, stored)
     if problems:
         raise CheckpointError(f"{path}: parameters do not match config: " + "; ".join(problems))
-
-    params = {}
-    end = 0
-    for name, shape, start, nbytes in blocks:
-        if start != end or nbytes != 8 * math.prod(shape):
-            raise CheckpointError(
-                f"{path}: parameter block {name} has offset {start} and nbytes {nbytes}, "
-                f"expected {end} and {8 * math.prod(shape)}"
-            )
-        end = start + nbytes
-        if end > len(payload):
-            raise CheckpointError(f"{path}: truncated parameter block {name}")
-        arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
-        params[name] = Parameter(name, arr)
-    if end != len(payload):
+    for got, want in itertools.zip_longest(stored, blocks):
+        if got != want:  # a repeated entry, another order, or an offset or nbytes off
+            raise CheckpointError(f"{path}: parameter block {got} where the layout has {want}")
+    end = blocks[-1].offset + blocks[-1].nbytes
+    if len(payload) < end:
+        raise CheckpointError(f"{path}: truncated payload ({len(payload)} of {end} bytes)")
+    if len(payload) > end:
         raise CheckpointError(f"{path}: {len(payload) - end} bytes after the last parameter block")
 
+    params = {b.name: Parameter(b.name, np.frombuffer(payload, "<f8", b.nbytes // 8, b.offset)
+                                .astype(np.float64).reshape(b.shape)) for b in blocks}
     return ModelState(config, seed, params)

@@ -71,7 +71,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        id_to_token = []
+        token_to_id, id_to_token = {}, []
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -84,12 +84,15 @@ class Vocabulary:
                     raise ValueError(f"{path}:{line_no}: malformed vocabulary line") from exc
                 if idx != len(id_to_token):
                     raise ValueError(f"{path}:{line_no}: ids must be dense, got {idx}")
+                if token in token_to_id:
+                    raise ValueError(f"{path}:{line_no}: token {token!r} repeats id "
+                                     f"{token_to_id[token]}")
+                token_to_id[token] = idx
                 id_to_token.append(token)
         if id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"{path}: reserved tokens missing or reordered")
-        vocab = cls(id_to_token=id_to_token)
-        vocab.token_to_id = {t: i for i, t in enumerate(id_to_token) if i >= 2}
-        return vocab
+        del token_to_id[PAD_TOKEN], token_to_id[UNK_TOKEN]  # the reserved ids map no token
+        return cls(token_to_id, id_to_token)
 
 
 def build_vocab(corpus, cap: int = 20000) -> Vocabulary:

@@ -34,6 +34,24 @@ def run_cli(args, cwd, out_root=None):
                           capture_output=True, text=True)
 
 
+def _with_header(blob, edit):
+    """Checkpoint bytes ``blob`` with their JSON header replaced by ``edit(header)``."""
+    n = int.from_bytes(blob[12:16], "little")
+    raw = json.dumps(edit(json.loads(blob[16:16 + n]))).encode()
+    return blob[:12] + len(raw).to_bytes(4, "little") + raw + blob[16 + n:]
+
+
+_CKPT_DAMAGE = {
+    "cut_to_8_bytes": lambda blob: blob[:8],
+    "no_config": lambda blob: _with_header(
+        blob, lambda h: {k: v for k, v in h.items() if k != "config"}),
+    "trailing_junk": lambda blob: blob + b"junk",
+    "float_n_classes": lambda blob: _with_header(
+        blob, lambda h: {**h, "config": {**h["config"], "n_classes": 3.0}}),
+    "seed_not_an_int": lambda blob: _with_header(blob, lambda h: {**h, "seed": "abc"}),
+}
+
+
 def ok(proc):
     assert proc.returncode == 0, f"stderr:\n{proc.stderr}\nstdout:\n{proc.stdout}"
     return proc
@@ -252,10 +270,9 @@ class TestExitCodes:
         assert "vocab_size" in proc.stderr
 
     def test_checkpoint_missing_a_parameter_is_config_error(self, pipeline, tmp_path):
-        from blendcnn.models import load_checkpoint, save_checkpoint
-        state = load_checkpoint(pipeline / "teacher" / "model.ckpt")
-        del state.params["blend.w"]
-        save_checkpoint(state, tmp_path / "broken.ckpt")
+        (tmp_path / "broken.ckpt").write_bytes(_with_header(
+            (pipeline / "teacher" / "model.ckpt").read_bytes(),
+            lambda h: {**h, "params": [e for e in h["params"] if e["name"] != "blend.w"]}))
         proc = run_cli(["eval",
                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
                         "--set", "data.checkpoint=broken.ckpt",
@@ -263,19 +280,9 @@ class TestExitCodes:
         assert proc.returncode == 4, proc.stderr
         assert "missing blend.w" in proc.stderr
 
-    @pytest.mark.parametrize("damage", ["cut_to_8_bytes", "no_config", "trailing_junk"])
+    @pytest.mark.parametrize("damage", sorted(_CKPT_DAMAGE))
     def test_damaged_checkpoint_is_config_error(self, pipeline, tmp_path, damage):
-        blob = (pipeline / "student" / "model.ckpt").read_bytes()
-        if damage == "cut_to_8_bytes":
-            blob = blob[:8]
-        elif damage == "no_config":
-            n = int.from_bytes(blob[12:16], "little")
-            header = json.loads(blob[16:16 + n])
-            del header["config"]
-            raw = json.dumps(header).encode()
-            blob = blob[:12] + len(raw).to_bytes(4, "little") + raw + blob[16 + n:]
-        else:
-            blob += b"junk"
+        blob = _CKPT_DAMAGE[damage]((pipeline / "student" / "model.ckpt").read_bytes())
         (tmp_path / "damaged.ckpt").write_bytes(blob)
         proc = run_cli(["eval",
                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
@@ -380,8 +387,9 @@ class TestExitCodes:
         assert "bad.jsonl:2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("text_cols", "[-1]"), ("label_col", "-1"),
-                                            ("text_cols", "[]")],
-                             ids=["text_cols", "label_col", "empty_text_cols"])
+                                            ("text_cols", "[]"), ("labeled_per_class", "-3")],
+                             ids=["text_cols", "label_col", "empty_text_cols",
+                                  "labeled_per_class"])
     def test_negative_csv_column_is_config_error(self, pipeline, tmp_path, capsys, key, value):
         code = cli.main(["build-vocab", "--set", f"data.train_csv={pipeline}/pool.csv",
                          "--set", f"data.{key}={value}", "--out", str(tmp_path / "run")])

@@ -1,4 +1,5 @@
 """Model construction, forward/backward, checkpoints, and the pad contract."""
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -60,6 +61,12 @@ class TestConfig:
             tiny_config(kind="kimcnn", kernel_widths=(3, 5, 3))
         with pytest.raises(ValueError, match="non-empty"):
             tiny_config(kind="kimcnn", kernel_widths=())
+
+    @pytest.mark.parametrize("field, value", [("n_classes", 4.0), ("seq_len", True),
+                                              ("vocab_size", "30"), ("kernel_widths", (3, 5.0))])
+    def test_rejects_an_extent_that_is_not_an_int(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive int"):
+            tiny_config(**{field: value})
 
     def test_rejects_dropout_one(self):
         with pytest.raises(ValueError):
@@ -406,6 +413,10 @@ _HEADER_DAMAGE = {
     "gap_between_blocks": _shift(2, "offset", 8),
     "overlapping_blocks": _shift(2, "offset", -8),
     "repeated_entry": lambda h: {**h, "params": h["params"] + h["params"][-1:]},
+    "float_extent": lambda h: {**h, "config": {**h["config"], "n_classes": 2.0}},
+    "bool_extent": lambda h: {**h, "config": {**h["config"], "seq_len": True}},
+    "float_kernel_width": lambda h: {**h, "config": {**h["config"], "kernel_widths": [3.0]}},
+    "seed_not_an_int": lambda h: {**h, "seed": "abc"},
 }
 
 
@@ -481,28 +492,53 @@ class TestCheckpoint:
         assert load_checkpoint(path).seed == 27
 
     @staticmethod
-    def _saved(tmp_path, edit):
-        state = init_model(tiny_config(), seed=26)
-        edit(state.params)
+    def _edited(tmp_path, edit):
+        """A small checkpoint whose header's block table is ``edit(params)``."""
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        path.write_bytes(_with_header(_tiny_checkpoint(tmp_path),
+                                      lambda h: {**h, "params": edit(h["params"])}))
         return path
 
     def test_missing_parameter_rejected(self, tmp_path):
-        path = self._saved(tmp_path, lambda params: params.pop("blend.w"))
+        path = self._edited(tmp_path, lambda ps: [e for e in ps if e["name"] != "blend.w"])
         with pytest.raises(CheckpointError, match="missing blend.w"):
             load_checkpoint(path)
 
     def test_extra_parameter_rejected(self, tmp_path):
-        def add(params):
-            params["conv9.w"] = Parameter("conv9.w", np.zeros((5, 6, 6)))
-        path = self._saved(tmp_path, add)
+        path = self._edited(tmp_path, lambda ps: ps + [
+            {"name": "conv9.w", "shape": [5, 6, 6], "offset": 0, "nbytes": 8 * 180}])
         with pytest.raises(CheckpointError, match="unexpected conv9.w"):
             load_checkpoint(path)
 
     def test_misshapen_parameter_rejected(self, tmp_path):
-        def widen(params):
-            params["logits.b"] = Parameter("logits.b", np.zeros(4))
-        path = self._saved(tmp_path, widen)
+        path = self._edited(tmp_path, lambda ps: [
+            {**e, "shape": [4]} if e["name"] == "logits.b" else e for e in ps])
         with pytest.raises(CheckpointError, match=r"logits.b has shape \(4,\)"):
             load_checkpoint(path)
+
+    def test_reordered_blocks_that_still_tile_rejected(self, tmp_path):
+        # the first two blocks swapped, offsets rewritten so they still tile the payload
+        def swap(ps):
+            first, second = ps[0], ps[1]
+            return [{**second, "offset": 0}, {**first, "offset": second["nbytes"]}, *ps[2:]]
+        path = self._edited(tmp_path, swap)
+        with pytest.raises(CheckpointError, match="where the layout has"):
+            load_checkpoint(path)
+
+    def test_save_refuses_a_misshapen_parameter(self, tmp_path):
+        state = init_model(tiny_config(), seed=26)
+        state.params["logits.b"] = Parameter("logits.b", np.zeros(4))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match=r"logits.b has shape \(4,\)"):
+            save_checkpoint(state, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("blendcnn", "fbb32000c768b5b9b1020fb4b54f9ab265c95662f81a82c79adf6be66d334f5b"),
+        ("kimcnn", "f8a6bd5fb0dfef69b8fefd3b3887671faf2a9e736c833ae8ef584b37544c6a9d"),
+    ])
+    def test_bytes_are_pinned(self, tmp_path, kind, digest):
+        # a fixed-seed checkpoint's bytes; they change only with the format
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(tiny_config(kind=kind, kernel_widths=(5, 3)), seed=31), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,4 +1,6 @@
-"""The README's command lines use only subcommands, keys and flags the CLI has (not run)."""
+"""The README's command lines and Python imports name only what the package has (not run)."""
+import ast
+import importlib
 import pathlib
 import re
 
@@ -35,3 +37,16 @@ def test_readme_flags_exist():
     known = {opt for p in [parser, *sub.choices.values()]
              for a in p._actions for opt in a.option_strings}
     assert flags <= known, f"README passes unknown flags {sorted(flags - known)}"
+
+
+def test_readme_python_imports_resolve():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    imports = [node for b in blocks for node in ast.walk(ast.parse(b))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "blendcnn"]
+    assert imports, "README imports nothing from blendcnn"
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (
+                f"README imports missing {node.module}.{alias.name}")

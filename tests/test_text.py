@@ -81,6 +81,13 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="line 3|dense"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("token", ["foo", "<unk>"])
+    def test_load_rejects_a_repeated_token(self, tmp_path, token):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"<pad>\t0\n<unk>\t1\nfoo\t2\nbar\t3\n{token}\t4\n")
+        with pytest.raises(ValueError, match=f"vocab.tsv:5: token '{token}' repeats"):
+            Vocabulary.load(path)
+
     def test_load_rejects_missing_reserved(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("word\t0\nother\t1\n")
