@@ -26,8 +26,8 @@ configs = [
 states = [init_model(c, seed=0) for c in configs]
 
 dataset = encode_dataset(rows, vocab, 32)
-timing = ThroughputConfig(n_samples=512, batch_size=32, repetitions=5,
-                          warmup_batches=2, seed=0)
+# batches of distill.EVAL_BATCH (32) examples, the size evaluate and infer_logits run
+timing = ThroughputConfig(n_samples=512, repetitions=5, warmup_batches=2, seed=0)
 results = [measure_throughput(s, dataset, timing) for s in states]
 
 counts = {model_display_name(c): param_count(c)[0] for c in configs}

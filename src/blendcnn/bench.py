@@ -1,7 +1,8 @@
 """Parameter-count and inference-throughput reports.
 
 Throughput is eval-mode forward passes only: encoding, batching, and
-sample selection all happen before the clock starts.  Each measurement
+sample selection all happen before the clock starts, and the batches are
+evaluate's own: distill.EVAL_BATCH (32) examples each.  Each measurement
 times the same batch sequence ``repetitions`` times and keeps the median,
 after an untimed warm-up.  The warm-up runs ``warmup_batches`` batches and
 then, if that count is above zero, keeps cycling through the batches until
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distill import _eval_batches
 from .models import ModelConfig, ModelState, forward
 
 __all__ = [
@@ -54,14 +56,13 @@ PAPER_REPORTED = {
 @dataclass(frozen=True)
 class ThroughputConfig:
     n_samples: int = 1000
-    batch_size: int = 32
     repetitions: int = 5
     warmup_batches: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.batch_size < 1:
-            raise ValueError("n_samples and batch_size must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.warmup_batches < 0:
@@ -154,12 +155,7 @@ def measure_throughput(model, dataset,
 
     rng = np.random.default_rng(config.seed)
     picked = rng.permutation(len(dataset))[: config.n_samples]
-    ids = np.stack([dataset[i].token_ids for i in picked])
-    lens = np.array([dataset[i].valid_len for i in picked], dtype=np.int64)
-    batches = [
-        (ids[s:s + config.batch_size], lens[s:s + config.batch_size])
-        for s in range(0, config.n_samples, config.batch_size)
-    ]
+    batches = _eval_batches([dataset[i] for i in picked])
 
     _warm_up(predict, batches, config.warmup_batches)
 

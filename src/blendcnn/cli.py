@@ -15,7 +15,8 @@ train.alpha is a config error.  With data.logits it fits the teacher logits
 of the labeled rows and of data.unlabeled_csv: by MAE alone (distill_mae)
 when train.alpha is 0, and blended with alpha * CE on the labeled rows
 (mixed) when it is above 0.  Either way it starts from the GloVe vectors in
-data.embeddings when set.
+data.embeddings when set.  train.batch_size sizes training batches only: every
+eval forward runs batches of distill.EVAL_BATCH (32) examples.
 
 Configuration is a flat JSON object with dotted keys ("model.n_layers": 3);
 repeatable --set KEY=VALUE flags override the file, and they are the one
@@ -49,7 +50,6 @@ from dataclasses import MISSING, fields, replace
 
 from .numerics import NonFiniteError
 from .models import (
-    CheckpointError,
     ModelConfig,
     init_model,
     load_checkpoint,
@@ -81,7 +81,7 @@ EXIT_CONFIG = 4
 EXIT_NUMERIC = 5
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad key, bad value, or config/artifact mismatch."""
 
 
@@ -204,10 +204,7 @@ def _section(cfg, name, **given):
     """The ``name`` section's dataclass from its dotted keys; ``given`` wins."""
     cls = _SECTIONS[name]
     values = {f.name: cfg[key] for f in fields(cls) if (key := f"{name}.{f.name}") in cfg}
-    try:
-        return cls(**{**values, **given})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**{**values, **given})
 
 
 def _model_config(cfg, vocab: Vocabulary = None) -> ModelConfig:
@@ -275,20 +272,21 @@ def _cmd_train(cfg, out_dir) -> int:
     else:
         mode = distill_mod.DIRECT_CE
     train_cfg = _section(cfg, "train", mode=mode)
-    if distill:
-        records = distill_mod.read_logit_records(cfg["data.logits"])
-
     rows = load_csv_dataset(_require(cfg, "data.train_csv"), _section(cfg, "data"))
     if cfg["data.labeled_per_class"] > 0:
         rows, _ = stratified_sample(rows, cfg["data.labeled_per_class"], distill_mod.SPLIT_SEED)
     sets = [encode_dataset(rows, vocab, model_cfg.seq_len)]
     train = distill_mod.train_direct
     if distill:
+        records = distill_mod.read_logit_records(cfg["data.logits"], model_cfg.n_classes)
         unlabeled = []
         if cfg["data.unlabeled_csv"]:
             unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len,
                                  drop_labels=True)
-        sets = [distill_mod.attach_teacher_logits(s, records) for s in sets + [unlabeled]]
+        try:
+            sets = [distill_mod.attach_teacher_logits(s, records) for s in sets + [unlabeled]]
+        except ValueError as exc:  # a CSV row with no record: name the file
+            raise ConfigError(f"{cfg['data.logits']}: {exc}") from exc
         train = distill_mod.train_distill
 
     embeddings = None
@@ -315,7 +313,7 @@ def _cmd_infer_logits(cfg, out_dir) -> int:
     vocab = _load_vocab(cfg)
     state = _checkpoint_for(cfg, vocab)
     examples = _encoded(cfg, "data.input_csv", vocab, state.config.seq_len)
-    records = distill_mod.infer_logits(state, examples, batch_size=cfg["train.batch_size"])
+    records = distill_mod.infer_logits(state, examples)
     path = os.path.join(out_dir, "logits.jsonl")
     distill_mod.write_logit_records(path, records)
     print(f"logits for {len(records)} examples -> {path}")
@@ -326,8 +324,7 @@ def _cmd_eval(cfg, out_dir) -> int:
     vocab = _load_vocab(cfg)
     state = _checkpoint_for(cfg, vocab)
     test = _encoded(cfg, "data.test_csv", vocab, state.config.seq_len)
-    result = distill_mod.dump_predictions(os.path.join(out_dir, "predictions.csv"), state,
-                                          test, batch_size=cfg["train.batch_size"])
+    result = distill_mod.dump_predictions(os.path.join(out_dir, "predictions.csv"), state, test)
     _write_json(os.path.join(out_dir, "eval.json"), {
         "accuracy": result.accuracy,
         "n_examples": len(result.predictions),
@@ -432,9 +429,6 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, CheckpointError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FileNotFoundError as exc:
         missing = exc.filename if exc.filename else exc
         print(f"io error: missing input {missing}", file=sys.stderr)

@@ -55,6 +55,7 @@ __all__ = [
 DIRECT_CE = "direct_ce"
 DISTILL_MAE = "distill_mae"
 MIXED = "mixed"
+EVAL_BATCH = 32  # examples per eval forward: evaluate, infer_logits and bench.measure_throughput
 
 
 @dataclass
@@ -177,24 +178,26 @@ def _batch_slices(n, batch_size):
         yield slice(start, min(start + batch_size, n))
 
 
+def _eval_batches(examples) -> list:
+    """(ids, lens) per EVAL_BATCH examples, in example order: the input of every eval forward."""
+    ids, lens = _stack_ids(examples)
+    return [(ids[sl], lens[sl]) for sl in _batch_slices(len(examples), EVAL_BATCH)]
+
+
 # ---------------------------------------------------------------------------
 # inference and the logit exchange
 
 
-def _eval_logits(state: ModelState, examples, batch_size: int) -> np.ndarray:
-    """Eval-mode logits [N, C] in example order, one forward per ``batch_size`` examples."""
-    ids, lens = _stack_ids(examples)
-    logits = np.empty((len(examples), state.config.n_classes))
-    for sl in _batch_slices(len(examples), batch_size):
-        logits[sl] = forward(state, ids[sl], lens[sl])[0]
-    return logits
+def _eval_logits(state: ModelState, examples) -> np.ndarray:
+    """Eval-mode logits [N, C] in example order."""
+    return np.concatenate([forward(state, ids, lens)[0] for ids, lens in _eval_batches(examples)])
 
 
-def infer_logits(state: ModelState, examples, batch_size: int = 32) -> list:
+def infer_logits(state: ModelState, examples) -> list:
     """Eval-mode logits for every example, order preserved; deterministic."""
     if not examples:
         return []
-    logits = _eval_logits(state, examples, batch_size)
+    logits = _eval_logits(state, examples)
     return [LogitRecord(example_id=ex.id, logits=row) for ex, row in zip(examples, logits)]
 
 
@@ -206,21 +209,27 @@ def write_logit_records(path, records) -> None:
             fh.write("\n")
 
 
-def read_logit_records(path) -> list:
-    """LogitRecords from JSON Lines; a bad record raises ValueError naming path:line."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
+def read_logit_records(path, n_classes: int) -> list:
+    """LogitRecords from JSON Lines, one per id; a bad line raises ValueError naming path:line."""
+    records = {}
+    with open(path, "rb") as fh:  # json.loads decodes each line: bad UTF-8 is named like bad JSON
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj["id"], str):
                     raise TypeError(f"id {obj['id']!r} is not a string")
-                records.append(LogitRecord(example_id=obj["id"], logits=obj["logits"]))
-            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                if obj["id"] in records:
+                    raise ValueError(f"duplicate teacher logits for example id={obj['id']!r}")
+                rec = LogitRecord(example_id=obj["id"], logits=obj["logits"])
+                if rec.logits.shape != (n_classes,):
+                    raise ValueError(f"teacher logits for {rec.example_id!r} have shape "
+                                     f"{rec.logits.shape}, expected ({n_classes},)")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge int overflows
                 raise ValueError(f"{path}:{line_no}: malformed logit record ({exc})") from exc
-    return records
+            records[rec.example_id] = rec
+    return list(records.values())
 
 
 def attach_teacher_logits(examples, records) -> list:
@@ -268,7 +277,7 @@ def _run_epochs(state, ids, lens, config, batch_grad_fn, eval_set, checkpoint_di
         del logits, cache, dlogits  # the last batch's buffers: not held through eval and saves
         accuracy = None
         if eval_set is not None:
-            accuracy = evaluate(state, eval_set, batch_size=config.batch_size).accuracy
+            accuracy = evaluate(state, eval_set).accuracy
         wall = time.perf_counter() - start
         ledger.entries.append(EpochRecord(epoch, total_loss / len(perm), accuracy, wall))
         if checkpoint_dir is not None:
@@ -347,22 +356,22 @@ class EvalResult:
     predictions: np.ndarray  # predicted class per example, in test-set order
 
 
-def evaluate(state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
+def evaluate(state: ModelState, test_set) -> EvalResult:
     """Accuracy and per-class confusion; argmax ties go to the lowest class."""
     if not test_set:
         raise ValueError("evaluate needs a non-empty labeled test set")
     n_classes = state.config.n_classes
     labels = _stack_labels(test_set, n_classes)
-    preds = _eval_logits(state, test_set, batch_size).argmax(axis=1)
+    preds = _eval_logits(state, test_set).argmax(axis=1)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     return EvalResult(accuracy=int((preds == labels).sum()) / len(test_set),
                       confusion=confusion, predictions=preds)
 
 
-def dump_predictions(path, state: ModelState, test_set, batch_size: int = 32) -> EvalResult:
+def dump_predictions(path, state: ModelState, test_set) -> EvalResult:
     """Evaluate once and write "id,predicted,gold" CSV rows for an independent recount."""
-    result = evaluate(state, test_set, batch_size=batch_size)
+    result = evaluate(state, test_set)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "predicted", "gold"])

@@ -14,6 +14,7 @@ import pytest
 from blendcnn.bench import ThroughputConfig, measure_throughput, report
 from blendcnn.distill import (
     DISTILL_MAE,
+    EVAL_BATCH,
     ProtocolConfig,
     TrainConfig,
     attach_teacher_logits,
@@ -315,15 +316,13 @@ def test_07_throughput_ordering():
     base = dict(kind="blendcnn", n_classes=4, seq_len=32, vocab_size=2000,
                 embed_dim=100, n_channels=100, dense_width=100)
     data = _timing_examples(512, seq_len=32, vocab_size=2000)
-    timing = ThroughputConfig(n_samples=256, batch_size=32, repetitions=5,
-                              warmup_batches=2, seed=0)
+    timing = ThroughputConfig(n_samples=256, repetitions=5, warmup_batches=2, seed=0)
     r3 = measure_throughput(init_model(ModelConfig(n_layers=3, **base), 0), data, timing)
     r8 = measure_throughput(init_model(ModelConfig(n_layers=8, **base), 0), data, timing)
 
-    stub_cfg = ThroughputConfig(n_samples=64, batch_size=32, repetitions=5,
-                                warmup_batches=1, seed=0)
+    stub_cfg = ThroughputConfig(n_samples=64, repetitions=5, warmup_batches=1, seed=0)
     stub = measure_throughput(_busy_stub(0.001), data, stub_cfg)
-    expected = stub_cfg.batch_size / 0.001  # 1 ms per batch, batches divide evenly
+    expected = EVAL_BATCH / 0.001  # 1 ms per batch, batches divide evenly
     stub_err = abs(stub.sentences_per_second - expected) / expected
 
     passed = (r3.sentences_per_second > r8.sentences_per_second

@@ -16,6 +16,7 @@ from blendcnn.bench import (
     model_display_name,
     report,
 )
+from blendcnn.distill import EVAL_BATCH
 from blendcnn.models import ModelConfig, init_model
 from blendcnn.text import Example
 
@@ -55,10 +56,8 @@ def encoded_examples(n, seq_len=16, seed=0):
 
 class TestThroughputConfig:
     def test_rejects_bad_extents(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_samples"):
             ThroughputConfig(n_samples=0)
-        with pytest.raises(ValueError):
-            ThroughputConfig(batch_size=0)
         with pytest.raises(ValueError, match="repetitions"):
             ThroughputConfig(repetitions=0)
         with pytest.raises(ValueError, match="warmup"):
@@ -67,18 +66,16 @@ class TestThroughputConfig:
 
 class TestMeasureThroughput:
     def test_fixed_delay_stub_matches_analytic_rate(self):
-        """A 1 ms per-batch stub must measure at batch_size/0.001 sentences/s."""
-        cfg = ThroughputConfig(n_samples=64, batch_size=32, repetitions=5,
-                               warmup_batches=2, seed=3)
-        # 64/32 divides evenly, so n_samples/(n_batches*0.001) == batch_size/0.001
+        """A 1 ms per-batch stub must measure at EVAL_BATCH/0.001 sentences/s."""
+        cfg = ThroughputConfig(n_samples=64, repetitions=5, warmup_batches=2, seed=3)
+        # 64/32 divides evenly, so n_samples/(n_batches*0.001) == EVAL_BATCH/0.001
         res = measure_throughput(delay_stub(0.001), encoded_examples(80), cfg)
-        expected = cfg.batch_size / 0.001
+        expected = EVAL_BATCH / 0.001
         assert abs(res.sentences_per_second - expected) <= 0.05 * expected
         assert res.model_name == "stub"
 
     def test_wall_is_median_and_rate_is_consistent(self):
-        cfg = ThroughputConfig(n_samples=32, batch_size=16, repetitions=5,
-                               warmup_batches=1)
+        cfg = ThroughputConfig(n_samples=32, repetitions=5, warmup_batches=1)
         res = measure_throughput(delay_stub(0.0005), encoded_examples(40), cfg)
         assert len(res.rep_seconds) == 5
         assert res.wall_seconds == float(np.median(res.rep_seconds))
@@ -97,10 +94,9 @@ class TestMeasureThroughput:
             calls["i"] += 1
             return np.zeros((ids.shape[0], 4))
 
-        cfg = ThroughputConfig(n_samples=64, batch_size=32, repetitions=3,
-                               warmup_batches=0)
+        cfg = ThroughputConfig(n_samples=64, repetitions=3, warmup_batches=0)
         res = measure_throughput(predict, encoded_examples(70), cfg)
-        expected = cfg.batch_size / 0.001
+        expected = EVAL_BATCH / 0.001
         assert abs(res.sentences_per_second - expected) <= 0.05 * expected
         assert max(res.rep_seconds) > 5 * res.wall_seconds
 
@@ -111,18 +107,26 @@ class TestMeasureThroughput:
 
     def test_sample_selection_is_seeded(self):
         data = encoded_examples(50)
-        cfg = ThroughputConfig(n_samples=32, batch_size=8, repetitions=1,
-                               warmup_batches=0, seed=9)
+        cfg = ThroughputConfig(n_samples=32, repetitions=1, warmup_batches=0, seed=9)
         seen_a, seen_b = [], []
         measure_throughput(recorder_stub(seen_a), data, cfg)
         measure_throughput(recorder_stub(seen_b), data, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(seen_a, seen_b))
 
         seen_c = []
-        cfg2 = ThroughputConfig(n_samples=32, batch_size=8, repetitions=1,
-                                warmup_batches=0, seed=10)
+        cfg2 = ThroughputConfig(n_samples=32, repetitions=1, warmup_batches=0, seed=10)
         measure_throughput(recorder_stub(seen_c), data, cfg2)
         assert any(not np.array_equal(a, c) for a, c in zip(seen_a, seen_c))
+
+    def test_times_the_eval_batches_of_its_sample(self):
+        data = encoded_examples(80)
+        seen = []
+        measure_throughput(recorder_stub(seen), data,
+                           ThroughputConfig(n_samples=70, repetitions=1, warmup_batches=0))
+        assert [len(b) for b in seen] == [EVAL_BATCH, EVAL_BATCH, 6]
+        picked = np.random.default_rng(0).permutation(80)[:70]
+        np.testing.assert_array_equal(np.concatenate(seen),
+                                      np.stack([data[i].token_ids for i in picked]))
 
     def test_rejects_non_model(self):
         with pytest.raises(TypeError, match="ModelState or callable"):
@@ -136,8 +140,8 @@ class TestMeasureThroughput:
                              dense_width=16)
         state = init_model(config, seed=0)
         data = encoded_examples(512, seq_len=24, seed=2)
-        measure_throughput(state, data, ThroughputConfig(n_samples=256, batch_size=32,
-                                                         repetitions=1, warmup_batches=2))
+        measure_throughput(state, data, ThroughputConfig(n_samples=256, repetitions=1,
+                                                         warmup_batches=2))
         # on a shared host the speed shifts by 15-20% for half a second at a
         # time, longer than an 11-repetition run; so the two sizes alternate
         # one pass at a time (ABAB..., warmed once above) and the median of 65
@@ -145,8 +149,8 @@ class TestMeasureThroughput:
         rates = {128: [], 256: []}
         for _ in range(65):
             for n_samples, side in rates.items():
-                cfg = ThroughputConfig(n_samples=n_samples, batch_size=32,
-                                       repetitions=1, warmup_batches=0, seed=0)
+                cfg = ThroughputConfig(n_samples=n_samples, repetitions=1,
+                                       warmup_batches=0, seed=0)
                 side.append(measure_throughput(state, data, cfg).sentences_per_second)
         r1, r2 = (float(np.median(side)) for side in rates.values())
         assert abs(r1 - r2) <= 0.10 * max(r1, r2)
@@ -160,10 +164,9 @@ class TestMeasureThroughput:
             calls["n"] += 1
             return np.zeros((ids.shape[0], 4))
 
-        cfg = ThroughputConfig(n_samples=64, batch_size=32, repetitions=5,
-                               warmup_batches=1)
+        cfg = ThroughputConfig(n_samples=64, repetitions=5, warmup_batches=1)
         res = measure_throughput(predict, encoded_examples(70), cfg)
-        expected = cfg.batch_size / 0.001
+        expected = EVAL_BATCH / 0.001
         assert abs(res.sentences_per_second - expected) <= 0.05 * expected
         assert calls["n"] > 20 + 5 * 2
 
@@ -171,8 +174,7 @@ class TestMeasureThroughput:
         monkeypatch.setattr(bench, "_blas_warm", True)
         monkeypatch.setattr(bench, "_SETTLE_SECONDS", 60.0)
         monkeypatch.setattr(bench, "_WARMUP_BUDGET_SECONDS", 0.05)
-        cfg = ThroughputConfig(n_samples=32, batch_size=32, repetitions=1,
-                               warmup_batches=1)
+        cfg = ThroughputConfig(n_samples=32, repetitions=1, warmup_batches=1)
         start = time.perf_counter()
         measure_throughput(delay_stub(0.001), encoded_examples(40), cfg)
         assert time.perf_counter() - start < 2.0

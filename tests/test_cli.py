@@ -1,13 +1,17 @@
 """CLI runs, in subprocesses or through cli.main: exit codes, artifacts, reproducibility."""
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blendcnn import cli
 
@@ -159,7 +163,7 @@ class TestPipeline:
         vocab = Vocabulary.load(pipeline / "vocab_out" / "vocab.tsv")
         model = ModelConfig(kind="blendcnn", n_classes=3, seq_len=12, vocab_size=len(vocab),
                             embed_dim=8, n_layers=2, n_channels=6, dense_width=5)
-        records = read_logit_records(pipeline / "logits_out" / "logits.jsonl")
+        records = read_logit_records(pipeline / "logits_out" / "logits.jsonl", 3)
         rows = load_csv_dataset(pipeline / "pool.csv", CsvSchema())
         labeled, _ = stratified_sample(rows, 3, seed=17)
         sets = [attach_teacher_logits(encode_dataset(r, vocab, model.seq_len), records)
@@ -366,15 +370,32 @@ class TestExitCodes:
                         "--set", "data.logits=logits.jsonl",
                         "--set", "train.epochs=1"], tmp_path)
         assert proc.returncode == 4, proc.stderr
+        assert f"logits.jsonl:{len(lines) + 1}: " in proc.stderr
         assert "duplicate teacher logits" in proc.stderr
         assert json.loads(lines[0])["id"] in proc.stderr
+
+    def test_csv_row_without_a_logit_record_names_the_logits_file(self, pipeline, tmp_path,
+                                                                  capsys):
+        lines = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()
+        (tmp_path / "short.jsonl").write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+        code = cli.main(["train", *TINY,
+                         "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                         "--set", f"data.train_csv={pipeline}/pool.csv",
+                         "--set", f"data.logits={tmp_path}/short.jsonl",
+                         "--set", "train.epochs=1", "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{tmp_path}/short.jsonl: missing teacher logits" in err
+        assert json.loads(lines[3])["id"] in err
 
     # in-process, so a traceback fails the test rather than only its exit code
     @pytest.mark.parametrize("record", ['{"id": ["x"], "logits": [0.0, 1.0, 2.0]}',
                                         '{"id": "x", "logits": "abcd"}',
                                         '{"id": "x", "logits": [[0.0, 1.0, 2.0]]}',
-                                        '{"id": "x", "logits": []}'],
-                             ids=["list_id", "string_logits", "matrix_logits", "empty_logits"])
+                                        '{"id": "x", "logits": []}',
+                                        '{"id": "x", "logits": [0.0, 1.0, 2.0, 3.0]}'],
+                             ids=["list_id", "string_logits", "matrix_logits", "empty_logits",
+                                  "four_logits_for_three_classes"])
     def test_malformed_logit_record_names_its_line(self, pipeline, tmp_path, capsys, record):
         good = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()[0]
         (tmp_path / "bad.jsonl").write_text(f"{good}\n{record}\n")
@@ -453,7 +474,24 @@ class TestEval:
                          "--set", f"data.test_csv={pipeline}/test.csv",
                          "--out", str(tmp_path / "eval_out")])
         assert code == 0
-        assert len(calls) == -(-18 // 4)  # one forward per batch of the 18 test rows
+        # one forward per eval batch of the 18 test rows; train.batch_size is not read
+        assert len(calls) == -(-18 // distill.EVAL_BATCH)
+
+    # fresh processes: eval once wrote unfilled np.empty logits here, and in-process that
+    # memory can still hold an earlier run's correct logits
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_train_batch_size_leaves_eval_outputs_alone(self, pipeline, tmp_path, value):
+        flags = ["--set", "data.vocab=vocab_out/vocab.tsv", "--set", f"train.batch_size={value}"]
+        ok(run_cli(["infer-logits", *flags, "--set", "data.checkpoint=teacher/model.ckpt",
+                    "--set", "data.input_csv=pool.csv", "--out", str(tmp_path / "logits")],
+                   pipeline))
+        ok(run_cli(["eval", *flags, "--set", "data.checkpoint=student/model.ckpt",
+                    "--set", "data.test_csv=test.csv", "--out", str(tmp_path / "eval")],
+                   pipeline))
+        assert ((tmp_path / "logits" / "logits.jsonl").read_bytes()
+                == (pipeline / "logits_out" / "logits.jsonl").read_bytes())
+        assert ((tmp_path / "eval" / "predictions.csv").read_bytes()
+                == (pipeline / "eval_out" / "predictions.csv").read_bytes())
 
 
 class TestParamCount:
@@ -483,7 +521,6 @@ class TestBench:
     def test_bench_on_synthetic_fallback(self, tmp_path):
         proc = ok(run_cli(["bench", *TINY,
                            "--set", "bench.n_samples=64",
-                           "--set", "bench.batch_size=32",
                            "--set", "bench.repetitions=2",
                            "--set", "bench.warmup_batches=1",
                            "--out", "bench_out"], tmp_path))
@@ -523,3 +560,57 @@ class TestOutDirs:
                    tmp_path, out_root=tmp_path / "envruns"))
         assert (tmp_path / "envruns" / "build-vocab" / "vocab.tsv").exists()
         assert (tmp_path / "envruns" / "build-vocab" / "config.json").exists()
+
+
+# one edit of a logits file's bytes: (kind, position seed, payload)
+_LOGITS_EDIT = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 8)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.sampled_from([b'"', b",", b"]", b"{", b"\n", b"-", b"e999", b"NaN", b"null",
+                         b"\xff", b"1" * 400]))),
+    st.tuples(st.just("digit"), st.integers(0, 10**6), st.sampled_from(b"0123456789")),
+    st.tuples(st.sampled_from(["drop_line", "repeat_line"]), st.integers(0, 10**6), st.none()),
+)
+
+
+def _edit_logits(blob, edits):
+    for kind, at, payload in edits:
+        if kind in ("drop_line", "repeat_line"):
+            lines = blob.splitlines(keepends=True)
+            i = at % len(lines) if lines else 0
+            lines[i:i + 1] = lines[i:i + 1] * (0 if kind == "drop_line" else 2)
+            blob = b"".join(lines)
+        elif kind == "digit":  # another digit in place of one: a logit or an id changes
+            digits = [i for i, c in enumerate(blob) if chr(c).isdigit()]
+            if digits:
+                i = digits[at % len(digits)]
+                blob = blob[:i] + bytes([payload]) + blob[i + 1:]
+        elif kind == "delete":
+            i = at % (len(blob) + 1)
+            blob = blob[:i] + blob[i + payload:]
+        else:
+            i = at % (len(blob) + 1)
+            blob = blob[:i] + payload + blob[i:]
+    return blob
+
+
+class TestLogitsFileProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_LOGITS_EDIT, min_size=1, max_size=3))
+    def test_a_damaged_logits_file_exits_cleanly_and_is_named(self, pipeline, edits):
+        blob = (pipeline / "logits_out" / "logits.jsonl").read_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(_edit_logits(blob, edits))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["train", *TINY,
+                                 "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                                 "--set", f"data.train_csv={pipeline}/pool.csv",
+                                 "--set", f"data.logits={path}",
+                                 "--set", "train.epochs=1", "--out", os.path.join(tmp, "run")])
+        assert code in (0, 3, 4, 5), err.getvalue()
+        if code:
+            assert path in err.getvalue()

@@ -64,8 +64,8 @@ def recount_predictions(path):
     return sum(hits) / len(hits)
 
 
-def with_logits(examples, state, batch_size=8):
-    return attach_teacher_logits(examples, infer_logits(state, examples, batch_size))
+def with_logits(examples, state):
+    return attach_teacher_logits(examples, infer_logits(state, examples))
 
 
 class TestTrainConfig:
@@ -100,20 +100,28 @@ class TestLogitExchange:
     def test_records_round_trip_exactly(self, tmp_path):
         state = tiny_model(seed=1)
         examples = make_examples(7, seed=2)
-        records = infer_logits(state, examples, batch_size=3)
+        records = infer_logits(state, examples)
         assert [r.example_id for r in records] == [ex.id for ex in examples]
         path = tmp_path / "logits.jsonl"
         write_logit_records(path, records)
-        again = read_logit_records(path)
+        again = read_logit_records(path, 3)
         for a, b in zip(records, again):
             assert a.example_id == b.example_id
             np.testing.assert_array_equal(a.logits, b.logits)
 
-    def test_malformed_line_reports_number(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        (b"not json", "Expecting value"),
+        (b'{"id": "a", "logits": [3, 4]}', "duplicate teacher logits for example id='a'"),
+        (b'{"id": "b", "logits": [1, 2, 3]}', r"'b' have shape \(3,\), expected \(2,\)"),
+        (b'{"id": "b", "logits": [1e999, 2]}', "non-finite"),
+        (b'{"id": "b", "logits": [1' + b"0" * 400 + b', 2]}', "too large"),
+        (b'{"id": "\xff", "logits": [1, 2]}', "utf-8"),
+    ], ids=["not_json", "repeated_id", "wrong_length", "infinite", "huge_int", "bad_utf8"])
+    def test_malformed_line_reports_number(self, tmp_path, line, message):
         path = tmp_path / "logits.jsonl"
-        path.write_text('{"id": "a", "logits": [1, 2]}\nnot json\n')
-        with pytest.raises(ValueError, match=":2"):
-            read_logit_records(path)
+        path.write_bytes(b'{"id": "a", "logits": [1, 2]}\n' + line + b"\n")
+        with pytest.raises(ValueError, match=f"logits.jsonl:2: .*{message}"):
+            read_logit_records(path, 2)
 
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError, match="finite|nan|inf"):
@@ -297,6 +305,27 @@ class TestEvaluate:
         result = evaluate(state, examples)
         assert result.confusion.sum() == 20
         assert np.trace(result.confusion) == round(result.accuracy * 20)
+
+    def test_eval_runs_fixed_batches_in_example_order(self, monkeypatch):
+        # infer_logits and evaluate both run EVAL_BATCH-example forwards, whatever
+        # batch size the model was trained at
+        state = tiny_model(seed=45)
+        examples = make_examples(2 * distill.EVAL_BATCH + 6, seed=46)
+        rows = []
+        forward = distill.forward
+
+        def recording_forward(state, ids, lens, **kwargs):
+            rows.append(len(lens))
+            return forward(state, ids, lens, **kwargs)
+
+        monkeypatch.setattr(distill, "forward", recording_forward)
+        records = infer_logits(state, examples)
+        preds = evaluate(state, examples).predictions
+        assert rows == [distill.EVAL_BATCH, distill.EVAL_BATCH, 6] * 2
+        np.testing.assert_array_equal([r.logits.argmax() for r in records], preds)
+        last = examples[-6:]
+        np.testing.assert_array_equal(np.stack([r.logits for r in records[-6:]]), forward(
+            state, np.stack([ex.token_ids for ex in last]), [ex.valid_len for ex in last])[0])
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
