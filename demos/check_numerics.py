@@ -57,7 +57,7 @@ def loss():
     return value
 
 report = grad_check(loss, state.parameters())
-print(f"grad check over {sum(p.size for p in state.parameters())} parameters:",
+print(f"grad check over {sum(p.value.size for p in state.parameters())} parameters:",
       f"max rel err {report.max_rel_err:.2e} (worst: {report.worst_param})")
 assert report.passes(1e-4)
 print("ok")

@@ -142,7 +142,7 @@ def _coerce(key, value):
         if isinstance(default, (int, float)):
             return _number(value, type(default))
         return type(default)(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
         want = "a list of ints" if isinstance(default, tuple) else type(default).__name__
         raise ConfigError(f"{key}: cannot read {value!r} as {want} ({exc})") from exc
 
@@ -278,13 +278,13 @@ def _cmd_train(cfg, out_dir) -> int:
     sets = [encode_dataset(rows, vocab, model_cfg.seq_len)]
     train = distill_mod.train_direct
     if distill:
-        records = distill_mod.read_logit_records(cfg["data.logits"], model_cfg.n_classes)
+        logits = distill_mod.read_logit_records(cfg["data.logits"], model_cfg.n_classes)
         unlabeled = []
         if cfg["data.unlabeled_csv"]:
             unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len,
                                  drop_labels=True)
         try:
-            sets = [distill_mod.attach_teacher_logits(s, records) for s in sets + [unlabeled]]
+            sets = [distill_mod.attach_teacher_logits(s, logits) for s in sets + [unlabeled]]
         except ValueError as exc:  # a CSV row with no record: name the file
             raise ConfigError(f"{cfg['data.logits']}: {exc}") from exc
         train = distill_mod.train_distill
@@ -313,10 +313,10 @@ def _cmd_infer_logits(cfg, out_dir) -> int:
     vocab = _load_vocab(cfg)
     state = _checkpoint_for(cfg, vocab)
     examples = _encoded(cfg, "data.input_csv", vocab, state.config.seq_len)
-    records = distill_mod.infer_logits(state, examples)
+    logits = distill_mod.infer_logits(state, examples)
     path = os.path.join(out_dir, "logits.jsonl")
-    distill_mod.write_logit_records(path, records)
-    print(f"logits for {len(records)} examples -> {path}")
+    distill_mod.write_logit_records(path, logits)
+    print(f"logits for {len(logits)} examples -> {path}")
     return EXIT_OK
 
 

@@ -7,8 +7,9 @@ Three training modes share one minibatch Adam loop:
                  (never reads labels)
     mixed        alpha * CE(labeled rows) + (1 - alpha) * MAE(all rows)
 
-Teacher logits travel as JSON Lines ({"id": ..., "logits": [...]}), one
-record per example, so any larger model can stand in as the teacher.  The
+Teacher logits are one mapping, {example id: float64 [n_classes] row} in
+example order, and travel as JSON Lines ({"id": ..., "logits": [...]}), one
+line per example, so any larger model can stand in as the teacher.  The
 bundled surrogate is an 8-layer BlendCNN trained on a bigger labeled pool.
 """
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .numerics import (
 from .models import ModelConfig, ModelState, backward, forward, init_model, save_checkpoint
 
 __all__ = [
-    "LogitRecord",
     "TrainConfig",
     "EpochRecord",
     "RunLedger",
@@ -56,22 +56,6 @@ DIRECT_CE = "direct_ce"
 DISTILL_MAE = "distill_mae"
 MIXED = "mixed"
 EVAL_BATCH = 32  # examples per eval forward: evaluate, infer_logits and bench.measure_throughput
-
-
-@dataclass
-class LogitRecord:
-    """Per-example teacher output: the unit exchanged between models."""
-
-    example_id: str
-    logits: np.ndarray
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 1 or not self.logits.size:
-            raise ValueError(f"teacher logits for {self.example_id!r} have shape "
-                             f"{self.logits.shape}, expected one non-empty row")
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError(f"non-finite teacher logits for {self.example_id!r}")
 
 
 @dataclass(frozen=True)
@@ -193,60 +177,70 @@ def _eval_logits(state: ModelState, examples) -> np.ndarray:
     return np.concatenate([forward(state, ids, lens)[0] for ids, lens in _eval_batches(examples)])
 
 
-def infer_logits(state: ModelState, examples) -> list:
-    """Eval-mode logits for every example, order preserved; deterministic."""
-    if not examples:
-        return []
-    logits = _eval_logits(state, examples)
-    return [LogitRecord(example_id=ex.id, logits=row) for ex, row in zip(examples, logits)]
+def infer_logits(state: ModelState, examples) -> dict:
+    """Eval-mode logits {example id: [C] row} in example order; deterministic.
+
+    A repeated example id or a non-finite row raises ValueError.
+    """
+    rows = _eval_logits(state, examples) if examples else []
+    logits = {}
+    for ex, row in zip(examples, rows):
+        if ex.id in logits:
+            raise ValueError(f"duplicate teacher logits for example id={ex.id!r}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"non-finite teacher logits for example id={ex.id!r}")
+        logits[ex.id] = row
+    return logits
 
 
-def write_logit_records(path, records) -> None:
-    """One JSON object per line: {"id": ..., "logits": [...]}."""
+def write_logit_records(path, logits) -> None:
+    """One JSON object per line, in the mapping's order: {"id": ..., "logits": [...]}."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({"id": rec.example_id, "logits": rec.logits.tolist()}))
+        for example_id, row in logits.items():
+            fh.write(json.dumps({"id": example_id, "logits": row.tolist()}))
             fh.write("\n")
 
 
-def read_logit_records(path, n_classes: int) -> list:
-    """LogitRecords from JSON Lines, one per id; a bad line raises ValueError naming path:line."""
-    records = {}
+def read_logit_records(path, n_classes: int) -> dict:
+    """{example id: float64 [n_classes] row} from JSON Lines, in file order.
+
+    Each line needs a string id not seen before and a list of n_classes finite
+    JSON numbers (not strings or bools); any other line raises ValueError
+    naming path:line.
+    """
+    logits = {}
     with open(path, "rb") as fh:  # json.loads decodes each line: bad UTF-8 is named like bad JSON
         for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             try:
-                if not line.strip():
-                    continue
                 obj = json.loads(line)
-                if not isinstance(obj["id"], str):
-                    raise TypeError(f"id {obj['id']!r} is not a string")
-                if obj["id"] in records:
-                    raise ValueError(f"duplicate teacher logits for example id={obj['id']!r}")
-                rec = LogitRecord(example_id=obj["id"], logits=obj["logits"])
-                if rec.logits.shape != (n_classes,):
-                    raise ValueError(f"teacher logits for {rec.example_id!r} have shape "
-                                     f"{rec.logits.shape}, expected ({n_classes},)")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge int overflows
+                example_id, row = obj["id"], obj["logits"]
+                if not isinstance(example_id, str):
+                    raise TypeError(f"id {example_id!r} is not a string")
+                if example_id in logits:
+                    raise ValueError(f"duplicate teacher logits for example id={example_id!r}")
+                if not isinstance(row, list) or any(type(v) not in (int, float) for v in row):
+                    raise TypeError(f"teacher logits for {example_id!r} are not a list of numbers")
+                row = np.array(row, dtype=np.float64)  # a huge int overflows
+                if row.shape != (n_classes,):
+                    raise ValueError(f"teacher logits for {example_id!r} have shape "
+                                     f"{row.shape}, expected ({n_classes},)")
+                if not np.isfinite(row).all():
+                    raise ValueError(f"non-finite teacher logits for example id={example_id!r}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed logit record ({exc})") from exc
-            records[rec.example_id] = rec
-    return list(records.values())
+            logits[example_id] = row
+    return logits
 
 
-def attach_teacher_logits(examples, records) -> list:
-    """Return new Examples carrying teacher logits looked up by example id.
-
-    Raises ValueError if an example has no record or an id has two.
-    """
-    by_id = {}
-    for rec in records:
-        if rec.example_id in by_id:
-            raise ValueError(f"duplicate teacher logits for example id={rec.example_id!r}")
-        by_id[rec.example_id] = rec.logits
+def attach_teacher_logits(examples, logits) -> list:
+    """New Examples carrying their rows of ``logits``; an id with no row raises ValueError."""
     out = []
     for ex in examples:
-        if ex.id not in by_id:
+        if ex.id not in logits:
             raise ValueError(f"missing teacher logits for example id={ex.id!r}")
-        out.append(replace(ex, teacher_logits=by_id[ex.id]))
+        out.append(replace(ex, teacher_logits=logits[ex.id]))
     return out
 
 
@@ -492,9 +486,9 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
     labeled = encode_rows(labeled_rows)
     unlabeled = encode_rows(unlabeled_rows, drop_labels=True)
 
-    records = infer_logits(teacher, labeled + unlabeled)
-    labeled = attach_teacher_logits(labeled, records)
-    unlabeled = attach_teacher_logits(unlabeled, records)
+    logits = infer_logits(teacher, labeled + unlabeled)
+    labeled = attach_teacher_logits(labeled, logits)
+    unlabeled = attach_teacher_logits(unlabeled, logits)
 
     # ProtocolResult field -> (training call, example sets, mode, epochs); built per
     # call, so a wrapper put on train_direct or train_distill after import is run

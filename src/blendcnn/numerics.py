@@ -84,10 +84,6 @@ class Parameter:
         self.value = np.asarray(self.value, dtype=np.float64, order="C")
         self.grad, self.m, self.v = (np.zeros_like(self.value) for _ in range(3))
 
-    @property
-    def size(self) -> int:
-        return self.value.size
-
 
 # ---------------------------------------------------------------------------
 # forward ops

@@ -224,29 +224,36 @@ def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> list:
     """Read an RFC-4180-style CSV into (id, text, label) rows.
 
     Text columns are joined with a single space; ids are "<filename>:<row>"
-    with a 0-based row index.  Bad labels or missing columns raise with the
-    CSV line number.
+    with a 0-based row index.  A bad label, a missing column, a field over
+    csv.field_size_limit() or bytes that are not UTF-8 raise ValueError
+    naming path:line.
     """
     name = os.path.basename(path)
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        for index, record in enumerate(reader):
-            line_no = reader.line_num
-            needed = max(schema.label_col, *schema.text_cols)
-            if len(record) <= needed:
-                raise ValueError(
-                    f"{path}:{line_no}: row has {len(record)} columns, need >= {needed + 1}"
-                )
-            raw = record[schema.label_col]
-            try:
-                label = int(raw) - schema.label_base
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-integer label {raw!r}") from exc
-            if label < 0:
-                raise ValueError(f"{path}:{line_no}: label {raw!r} below label_base")
-            text = " ".join(record[c] for c in schema.text_cols)
-            rows.append((f"{name}:{index}", text, label))
+        try:
+            for index, record in enumerate(reader):
+                line_no = reader.line_num
+                "".join(record).encode("utf-8")  # a surrogate, i.e. a byte not UTF-8, raises
+                needed = max(schema.label_col, *schema.text_cols)
+                if len(record) <= needed:
+                    raise ValueError(
+                        f"{path}:{line_no}: row has {len(record)} columns, need >= {needed + 1}"
+                    )
+                raw = record[schema.label_col]
+                try:
+                    label = int(raw) - schema.label_base
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: non-integer label {raw!r}") from exc
+                if label < 0:
+                    raise ValueError(f"{path}:{line_no}: label {raw!r} below label_base")
+                text = " ".join(record[c] for c in schema.text_cols)
+                rows.append((f"{name}:{index}", text, label))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: bytes that are not UTF-8") from exc
     return rows
 
 

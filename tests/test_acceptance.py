@@ -231,7 +231,7 @@ def test_04_param_count_self_consistency():
                               vocab_size=50, embed_dim=8, n_layers=n_layers,
                               n_channels=6, dense_width=7)
             total, breakdown = param_count(cfg)
-            live = sum(p.size for p in init_model(cfg, seed=0).parameters())
+            live = sum(p.value.size for p in init_model(cfg, seed=0).parameters())
             assert total == live == sum(breakdown.values()), cfg
             checked += 1
     for n_classes in (2, 4, 10, 14):
@@ -239,7 +239,7 @@ def test_04_param_count_self_consistency():
                           vocab_size=50, embed_dim=8, n_channels=6,
                           kernel_widths=(3, 5, 7), dense_width=7)
         total, breakdown = param_count(cfg)
-        live = sum(p.size for p in init_model(cfg, seed=0).parameters())
+        live = sum(p.value.size for p in init_model(cfg, seed=0).parameters())
         assert total == live == sum(breakdown.values()), cfg
         checked += 1
 

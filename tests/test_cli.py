@@ -163,10 +163,10 @@ class TestPipeline:
         vocab = Vocabulary.load(pipeline / "vocab_out" / "vocab.tsv")
         model = ModelConfig(kind="blendcnn", n_classes=3, seq_len=12, vocab_size=len(vocab),
                             embed_dim=8, n_layers=2, n_channels=6, dense_width=5)
-        records = read_logit_records(pipeline / "logits_out" / "logits.jsonl", 3)
+        logits = read_logit_records(pipeline / "logits_out" / "logits.jsonl", 3)
         rows = load_csv_dataset(pipeline / "pool.csv", CsvSchema())
         labeled, _ = stratified_sample(rows, 3, seed=17)
-        sets = [attach_teacher_logits(encode_dataset(r, vocab, model.seq_len), records)
+        sets = [attach_teacher_logits(encode_dataset(r, vocab, model.seq_len), logits)
                 for r in (labeled, [(i, t, None) for i, t, _ in rows])]
         state, _ = train_distill(init_model(model, 0), *sets,
                                  TrainConfig(mode=DISTILL_MAE, epochs=2))
@@ -244,6 +244,8 @@ class TestExitCodes:
         ["param-count", "--set", "model.vocab_size=100", "--set", "train.alpha=-Infinity"],
         # the objective follows from data.logits and train.alpha; it is no key
         ["param-count", "--set", "model.vocab_size=100", "--set", "train.mode=mixed"],
+        # an int too large for a float overflows on the way to one
+        ["param-count", "--set", "model.vocab_size=100", "--set", "train.lr=" + "9" * 400],
     ])
     def test_malformed_value_is_config_error(self, tmp_path, args):
         proc = run_cli(args, tmp_path)
@@ -562,8 +564,8 @@ class TestOutDirs:
         assert (tmp_path / "envruns" / "build-vocab" / "config.json").exists()
 
 
-# one edit of a logits file's bytes: (kind, position seed, payload)
-_LOGITS_EDIT = st.one_of(
+# one edit of a file's bytes: (kind, position seed, payload)
+_BYTE_EDIT = st.one_of(
     st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 8)),
     st.tuples(st.just("insert"), st.integers(0, 10**6), st.one_of(
         st.binary(min_size=1, max_size=4),
@@ -572,16 +574,19 @@ _LOGITS_EDIT = st.one_of(
     st.tuples(st.just("digit"), st.integers(0, 10**6), st.sampled_from(b"0123456789")),
     st.tuples(st.sampled_from(["drop_line", "repeat_line"]), st.integers(0, 10**6), st.none()),
 )
+# a CSV edit may also grow a field past csv.field_size_limit() (131,072 characters)
+_CSV_EDIT = st.one_of(_BYTE_EDIT, st.tuples(st.just("insert"), st.integers(0, 10**6),
+                                            st.just(b"x" * 131_073)))
 
 
-def _edit_logits(blob, edits):
+def _edit_bytes(blob, edits):
     for kind, at, payload in edits:
         if kind in ("drop_line", "repeat_line"):
             lines = blob.splitlines(keepends=True)
             i = at % len(lines) if lines else 0
             lines[i:i + 1] = lines[i:i + 1] * (0 if kind == "drop_line" else 2)
             blob = b"".join(lines)
-        elif kind == "digit":  # another digit in place of one: a logit or an id changes
+        elif kind == "digit":  # another digit in place of one: a number or an id changes
             digits = [i for i, c in enumerate(blob) if chr(c).isdigit()]
             if digits:
                 i = digits[at % len(digits)]
@@ -595,22 +600,35 @@ def _edit_logits(blob, edits):
     return blob
 
 
+def _exits_cleanly_on(blob, name, args):
+    """cli.main(args(path)) with ``blob`` saved at path exits 0, 3, 4 or 5, and 3-5 name it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*args(path), "--out", os.path.join(tmp, "run")])
+    assert code in (0, 3, 4, 5), err.getvalue()
+    if code:
+        assert path in err.getvalue()
+
+
 class TestLogitsFileProperty:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(edits=st.lists(_LOGITS_EDIT, min_size=1, max_size=3))
+    @given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
     def test_a_damaged_logits_file_exits_cleanly_and_is_named(self, pipeline, edits):
         blob = (pipeline / "logits_out" / "logits.jsonl").read_bytes()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "damaged.jsonl")
-            with open(path, "wb") as fh:
-                fh.write(_edit_logits(blob, edits))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["train", *TINY,
-                                 "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
-                                 "--set", f"data.train_csv={pipeline}/pool.csv",
-                                 "--set", f"data.logits={path}",
-                                 "--set", "train.epochs=1", "--out", os.path.join(tmp, "run")])
-        assert code in (0, 3, 4, 5), err.getvalue()
-        if code:
-            assert path in err.getvalue()
+        _exits_cleanly_on(_edit_bytes(blob, edits), "damaged.jsonl", lambda path: [
+            "train", *TINY, "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+            "--set", f"data.train_csv={pipeline}/pool.csv", "--set", f"data.logits={path}",
+            "--set", "train.epochs=1"])
+
+
+class TestCsvFileProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_CSV_EDIT, min_size=1, max_size=3))
+    def test_a_damaged_csv_exits_cleanly_and_is_named(self, pipeline, edits):
+        blob = (pipeline / "pool.csv").read_bytes()
+        _exits_cleanly_on(_edit_bytes(blob, edits), "damaged.csv",
+                          lambda path: ["build-vocab", "--set", f"data.train_csv={path}"])

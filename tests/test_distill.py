@@ -2,6 +2,7 @@
 import csv
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from blendcnn.distill import (
     DIRECT_CE,
     DISTILL_MAE,
     MIXED,
-    LogitRecord,
     ProtocolConfig,
     TrainConfig,
     attach_teacher_logits,
@@ -100,14 +100,15 @@ class TestLogitExchange:
     def test_records_round_trip_exactly(self, tmp_path):
         state = tiny_model(seed=1)
         examples = make_examples(7, seed=2)
-        records = infer_logits(state, examples)
-        assert [r.example_id for r in records] == [ex.id for ex in examples]
+        logits = infer_logits(state, examples)
+        assert list(logits) == [ex.id for ex in examples]
         path = tmp_path / "logits.jsonl"
-        write_logit_records(path, records)
+        write_logit_records(path, logits)
         again = read_logit_records(path, 3)
-        for a, b in zip(records, again):
-            assert a.example_id == b.example_id
-            np.testing.assert_array_equal(a.logits, b.logits)
+        assert list(again) == list(logits)
+        for example_id, row in logits.items():
+            assert again[example_id].dtype == np.float64
+            np.testing.assert_array_equal(again[example_id], row)
 
     @pytest.mark.parametrize("line, message", [
         (b"not json", "Expecting value"),
@@ -116,7 +117,9 @@ class TestLogitExchange:
         (b'{"id": "b", "logits": [1e999, 2]}', "non-finite"),
         (b'{"id": "b", "logits": [1' + b"0" * 400 + b', 2]}', "too large"),
         (b'{"id": "\xff", "logits": [1, 2]}', "utf-8"),
-    ], ids=["not_json", "repeated_id", "wrong_length", "infinite", "huge_int", "bad_utf8"])
+        (b'{"id": "b", "logits": ["1.5", true, "-2e3"]}', "'b' are not a list of numbers"),
+    ], ids=["not_json", "repeated_id", "wrong_length", "infinite", "huge_int", "bad_utf8",
+            "strings_and_bools"])
     def test_malformed_line_reports_number(self, tmp_path, line, message):
         path = tmp_path / "logits.jsonl"
         path.write_bytes(b'{"id": "a", "logits": [1, 2]}\n' + line + b"\n")
@@ -124,32 +127,36 @@ class TestLogitExchange:
             read_logit_records(path, 2)
 
     def test_nonfinite_logits_rejected(self):
-        with pytest.raises(ValueError, match="finite|nan|inf"):
-            LogitRecord("x", [1.0, float("nan")])
+        state = tiny_model(seed=1)
+        state.param("logits.b").value[0] = np.nan  # every row turns NaN
+        with pytest.raises(ValueError, match="non-finite teacher logits for example id='ex0'"):
+            infer_logits(state, make_examples(3, seed=2))
 
-    @pytest.mark.parametrize("logits", [[[1.0, 2.0, 3.0, 4.0]], [], 1.0],
-                             ids=["matrix", "empty", "scalar"])
-    def test_logits_must_be_one_nonempty_row(self, logits):
-        with pytest.raises(ValueError, match="shape"):
-            LogitRecord("x", logits)
+    def test_infer_rejects_a_repeated_id(self):
+        examples = make_examples(3, seed=2)
+        examples[2] = replace(examples[2], id="ex0")
+        with pytest.raises(ValueError, match="duplicate teacher logits for example id='ex0'"):
+            infer_logits(tiny_model(seed=1), examples)
+
+    @pytest.mark.parametrize("logits, message", [
+        ("[[1.0, 2.0, 3.0, 4.0]]", "not a list of numbers"),
+        ("[]", r"shape \(0,\), expected \(3,\)"),
+        ("1.0", "not a list of numbers")], ids=["matrix", "empty", "scalar"])
+    def test_logits_must_be_one_nonempty_row(self, tmp_path, logits, message):
+        path = tmp_path / "logits.jsonl"
+        path.write_text(f'{{"id": "x", "logits": {logits}}}\n')
+        with pytest.raises(ValueError, match=f"logits.jsonl:1: .*{message}"):
+            read_logit_records(path, 3)
 
     def test_attach_requires_every_id(self):
         examples = make_examples(3, seed=3)
-        records = [LogitRecord("ex0", [0.0, 0.0, 0.0])]
         with pytest.raises(ValueError, match="ex1"):
-            attach_teacher_logits(examples, records)
-
-    def test_attach_rejects_a_repeated_id(self):
-        examples = make_examples(2, seed=3)
-        records = [LogitRecord(ex.id, [0.0, 0.0, 0.0]) for ex in examples]
-        records.append(LogitRecord("ex1", [1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="duplicate.*ex1"):
-            attach_teacher_logits(examples, records)
+            attach_teacher_logits(examples, {"ex0": np.zeros(3)})
 
     def test_attach_leaves_originals_alone(self):
         examples = make_examples(2, seed=4)
-        records = [LogitRecord(ex.id, [1.0, 2.0, 3.0]) for ex in examples]
-        out = attach_teacher_logits(examples, records)
+        logits = {ex.id: np.array([1.0, 2.0, 3.0]) for ex in examples}
+        out = attach_teacher_logits(examples, logits)
         assert examples[0].teacher_logits is None
         np.testing.assert_array_equal(out[0].teacher_logits, [1.0, 2.0, 3.0])
 
@@ -319,12 +326,12 @@ class TestEvaluate:
             return forward(state, ids, lens, **kwargs)
 
         monkeypatch.setattr(distill, "forward", recording_forward)
-        records = infer_logits(state, examples)
+        logits = np.stack(list(infer_logits(state, examples).values()))
         preds = evaluate(state, examples).predictions
         assert rows == [distill.EVAL_BATCH, distill.EVAL_BATCH, 6] * 2
-        np.testing.assert_array_equal([r.logits.argmax() for r in records], preds)
+        np.testing.assert_array_equal(logits.argmax(axis=1), preds)
         last = examples[-6:]
-        np.testing.assert_array_equal(np.stack([r.logits for r in records[-6:]]), forward(
+        np.testing.assert_array_equal(logits[-6:], forward(
             state, np.stack([ex.token_ids for ex in last]), [ex.valid_len for ex in last])[0])
 
     def test_empty_test_set_rejected(self):

@@ -364,7 +364,7 @@ class TestParamCount:
         cfg = tiny_config(kind=kind, n_layers=layers, n_classes=classes)
         total, breakdown = param_count(cfg)
         state = init_model(cfg, seed=0)
-        assert total == sum(p.size for p in state.parameters())
+        assert total == sum(p.value.size for p in state.parameters())
         assert total == sum(breakdown.values())
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from blendcnn.distill import LogitRecord, attach_teacher_logits
+from blendcnn.distill import attach_teacher_logits
 from blendcnn.text import (
     PAD_ID,
     PAD_TOKEN,
@@ -126,9 +126,10 @@ class TestEncode:
 
     def test_with_teacher_logits_returns_new_example(self):
         ex = Example(id="e", token_ids=np.zeros(3, dtype=np.int64), valid_len=1)
-        (ex2,) = attach_teacher_logits([ex], [LogitRecord("e", [1, 2])])
+        row = np.array([1.0, 2.0])
+        (ex2,) = attach_teacher_logits([ex], {"e": row})
         assert ex.teacher_logits is None
-        assert ex2.teacher_logits.dtype == np.float64
+        assert ex2.teacher_logits is row
 
     def test_encode_dataset_names_a_row_without_tokens(self, vocab):
         with pytest.raises(ValueError, match="'r1' has no tokens"):
@@ -193,6 +194,15 @@ class TestCsvLoading:
         path = tmp_path / "news.csv"
         path.write_text('"1","only one text"\n')
         with pytest.raises(ValueError, match="columns"):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("field, message", [
+        (b"x" * 131_073, "field larger than field limit"),
+        (b"caf\xe9", "bytes that are not UTF-8")], ids=["oversized_field", "latin1_byte"])
+    def test_unreadable_field_reports_line(self, tmp_path, field, message):
+        path = tmp_path / "news.csv"
+        path.write_bytes(b'"1","ok","ok"\n"2","' + field + b'","ok"\n"3","ok","ok"\n')
+        with pytest.raises(ValueError, match=f"news.csv:2: {message}"):
             load_csv_dataset(path)
 
     def test_zero_based_schema(self, tmp_path):
