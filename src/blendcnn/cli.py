@@ -14,9 +14,11 @@ labels by cross-entropy (direct_ce), and data.unlabeled_csv or a nonzero
 train.alpha is a config error.  With data.logits it fits the teacher logits
 of the labeled rows and of data.unlabeled_csv: by MAE alone (distill_mae)
 when train.alpha is 0, and blended with alpha * CE on the labeled rows
-(mixed) when it is above 0.  Either way it starts from the GloVe vectors in
-data.embeddings when set.  train.batch_size sizes training batches only: every
-eval forward runs batches of distill.EVAL_BATCH (32) examples.
+(mixed) when it is above 0.  data.unlabeled_csv needs a label column like
+any CSV, but its labels are parsed and never trained on.  Either way it
+starts from the GloVe vectors in data.embeddings when set.  train.batch_size
+sizes training batches only: every eval forward runs batches of
+distill.EVAL_BATCH (32) examples.
 
 Configuration is a flat JSON object with dotted keys ("model.n_layers": 3);
 repeatable --set KEY=VALUE flags override the file, and they are the one
@@ -65,6 +67,7 @@ from .text import (
     load_glove,
     stratified_sample,
     tokenize,
+    utf8_lines,
 )
 from . import bench as bench_mod
 from . import distill as distill_mod
@@ -151,11 +154,10 @@ def load_config(config_path, overrides) -> dict:
     """Defaults <- JSON file <- --set flags, checking every key and value."""
     cfg = dict(_DEFAULTS)
     if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_path}: not valid JSON ({exc})") from exc
+        try:
+            loaded = json.loads("".join(utf8_lines(config_path)))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{config_path}: not valid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: top level must be a JSON object")
         for key, value in loaded.items():
@@ -238,10 +240,8 @@ def _checkpoint_for(cfg, vocab):
     return state
 
 
-def _encoded(cfg, csv_key, vocab, seq_len, drop_labels=False):
+def _encoded(cfg, csv_key, vocab, seq_len):
     rows = load_csv_dataset(_require(cfg, csv_key), _section(cfg, "data"))
-    if drop_labels:
-        rows = [(i, t, None) for i, t, _ in rows]
     return encode_dataset(rows, vocab, seq_len)
 
 
@@ -281,8 +281,7 @@ def _cmd_train(cfg, out_dir) -> int:
         logits = distill_mod.read_logit_records(cfg["data.logits"], model_cfg.n_classes)
         unlabeled = []
         if cfg["data.unlabeled_csv"]:
-            unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len,
-                                 drop_labels=True)
+            unlabeled = _encoded(cfg, "data.unlabeled_csv", vocab, model_cfg.seq_len)
         try:
             sets = [distill_mod.attach_teacher_logits(s, logits) for s in sets + [unlabeled]]
         except ValueError as exc:  # a CSV row with no record: name the file

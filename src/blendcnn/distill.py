@@ -5,7 +5,8 @@ Three training modes share one minibatch Adam loop:
     direct_ce    cross-entropy on hard labels
     distill_mae  mean absolute error between student and teacher logits
                  (never reads labels)
-    mixed        alpha * CE(labeled rows) + (1 - alpha) * MAE(all rows)
+    mixed        alpha * CE(rows of the ``labeled`` argument; the labels of
+                 ``unlabeled`` go unread) + (1 - alpha) * MAE(all rows)
 
 Teacher logits are one mapping, {example id: float64 [n_classes] row} in
 example order, and travel as JSON Lines ({"id": ..., "logits": [...]}), one
@@ -301,12 +302,13 @@ def train_direct(state: ModelState, labeled, config: TrainConfig,
 
 def train_distill(state: ModelState, labeled, unlabeled, config: TrainConfig,
                   eval_set=None, checkpoint_dir=None):
-    """Distillation over the shuffled union of labeled and pseudo-labeled data.
+    """Distillation over the shuffled union of ``labeled`` and ``unlabeled``.
 
-    Every example (labeled or not) must carry teacher logits.  The batch
-    objective is alpha * CE(labeled rows) + (1 - alpha) * MAE(all rows);
-    with the default alpha = 0 labels are never read.  Mutates ``state``;
-    returns (state, RunLedger).
+    Every example must carry teacher logits.  The batch objective is
+    alpha * CE(rows of ``labeled``) + (1 - alpha) * MAE(all rows), and every
+    example of ``labeled`` needs a label when alpha > 0; the labels of
+    ``unlabeled`` are never read, nor any label at the default alpha = 0.
+    Mutates ``state``; returns (state, RunLedger).
     """
     if config.mode not in (DISTILL_MAE, MIXED):
         raise ValueError(f"train_distill needs a distillation mode, got {config.mode!r}")
@@ -317,21 +319,18 @@ def train_distill(state: ModelState, labeled, unlabeled, config: TrainConfig,
     teacher = _stack_teacher_logits(union, state.config.n_classes)
 
     alpha = config.alpha
-    if alpha > 0.0:
-        has_label = np.array([ex.label is not None for ex in union])
-        labels = np.full(len(union), -1, dtype=np.int64)
-        labels[has_label] = _stack_labels([ex for ex in union if ex.label is not None],
-                                          state.config.n_classes)
+    if alpha > 0.0:  # union rows 0..len(labeled)-1
+        labels = _stack_labels(labeled, state.config.n_classes)
 
     def batch_grad(idx, logits):
         t = teacher[idx]
         loss = (1.0 - alpha) * mae_loss(logits, t)
         dlogits = (1.0 - alpha) * mae_loss_backward(logits, t)
         if alpha > 0.0:
-            rows = np.nonzero(has_label[idx])[0]
+            rows = np.flatnonzero(idx < len(labels))
             if rows.size:
                 sub = logits[rows]
-                y = labels[idx][rows]
+                y = labels[idx[rows]]
                 loss += alpha * cross_entropy(sub, y)
                 dlogits[rows] += alpha * cross_entropy_backward(sub, y)
         return loss, dlogits
@@ -460,12 +459,8 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
 
     vocab = build_vocab(tokenize(text) for _, text, _ in train_rows)
 
-    def encode_rows(rows, drop_labels=False):
-        prepared = [(i, t, None if drop_labels else l) for i, t, l in rows]
-        return encode_dataset(prepared, vocab, config.seq_len)
-
-    pool = encode_rows(train_rows)
-    test = encode_rows(test_rows)
+    pool = encode_dataset(train_rows, vocab, config.seq_len)
+    test = encode_dataset(test_rows, vocab, config.seq_len)
 
     student_model = ModelConfig(
         kind="blendcnn", n_classes=config.n_classes, seq_len=config.seq_len,
@@ -483,8 +478,8 @@ def run_distillation_protocol(train_rows, test_rows, config: ProtocolConfig) -> 
     unlabeled_rows = sample_rows(
         rest_rows, config.unlabeled_ratio * n_labeled, SPLIT_SEED + 1
     )
-    labeled = encode_rows(labeled_rows)
-    unlabeled = encode_rows(unlabeled_rows, drop_labels=True)
+    labeled = encode_dataset(labeled_rows, vocab, config.seq_len)
+    unlabeled = encode_dataset(unlabeled_rows, vocab, config.seq_len)
 
     logits = infer_logits(teacher, labeled + unlabeled)
     labeled = attach_teacher_logits(labeled, logits)

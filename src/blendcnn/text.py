@@ -11,7 +11,7 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "Example",
     "CsvSchema",
     "tokenize",
+    "utf8_lines",
     "build_vocab",
     "encode",
     "encode_dataset",
@@ -47,12 +48,25 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
+def utf8_lines(path):
+    """A UTF-8 text file's lines, ends kept; other bytes raise ValueError naming path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # a byte that is not UTF-8 was read as a surrogate
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{path}:{line_no}: bytes that are not UTF-8") from exc
+            yield line
+
+
 @dataclass
 class Vocabulary:
     """Dense token<->id mapping with reserved ids 0=PAD and 1=UNK."""
 
-    token_to_id: dict = field(default_factory=dict)
-    id_to_token: list = field(default_factory=lambda: [PAD_TOKEN, UNK_TOKEN])
+    id_to_token: list
+
+    def __post_init__(self):  # the reserved ids map no token
+        self.token_to_id = {tok: idx for idx, tok in enumerate(self.id_to_token) if idx > UNK_ID}
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -72,27 +86,25 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         token_to_id, id_to_token = {}, []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    token, idx = line.split("\t")
-                    idx = int(idx)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: malformed vocabulary line") from exc
-                if idx != len(id_to_token):
-                    raise ValueError(f"{path}:{line_no}: ids must be dense, got {idx}")
-                if token in token_to_id:
-                    raise ValueError(f"{path}:{line_no}: token {token!r} repeats id "
-                                     f"{token_to_id[token]}")
-                token_to_id[token] = idx
-                id_to_token.append(token)
+        for line_no, line in enumerate(utf8_lines(path), start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            try:
+                token, idx = line.split("\t")
+                idx = int(idx)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: malformed vocabulary line") from exc
+            if idx != len(id_to_token):
+                raise ValueError(f"{path}:{line_no}: ids must be dense, got {idx}")
+            if token in token_to_id:
+                raise ValueError(f"{path}:{line_no}: token {token!r} repeats id "
+                                 f"{token_to_id[token]}")
+            token_to_id[token] = idx
+            id_to_token.append(token)
         if id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"{path}: reserved tokens missing or reordered")
-        del token_to_id[PAD_TOKEN], token_to_id[UNK_TOKEN]  # the reserved ids map no token
-        return cls(token_to_id, id_to_token)
+        return cls(id_to_token)
 
 
 def build_vocab(corpus, cap: int = 20000) -> Vocabulary:
@@ -109,11 +121,7 @@ def build_vocab(corpus, cap: int = 20000) -> Vocabulary:
     if not counts:
         warnings.warn("building vocabulary from an empty corpus; reserved tokens only")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    vocab = Vocabulary()
-    for token, _ in ranked[: cap - 2]:
-        vocab.token_to_id[token] = len(vocab.id_to_token)
-        vocab.id_to_token.append(token)
-    return vocab
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + [token for token, _ in ranked[: cap - 2]])
 
 
 def encode(tokens, vocab: Vocabulary, seq_len: int):
@@ -160,9 +168,9 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
 
     In-vocab tokens take their file vectors (first occurrence wins); missing
     tokens are initialized uniform(-0.05, 0.05) from ``seed``; the PAD row is
-    zero and frozen.  A dimension mismatch on any line, and a non-numeric or
-    non-finite value in a vector that is used, raise ValueError naming
-    ``path:line``.
+    zero and frozen.  A dimension mismatch or bytes that are not UTF-8 on any
+    line, and a non-numeric or non-finite value in a vector that is used,
+    raise ValueError naming ``path:line``.
     """
     rng = np.random.default_rng(seed)
     size = len(vocab)
@@ -170,27 +178,26 @@ def load_glove(path, vocab: Vocabulary, embed_dim: int = 100, seed: int = 0) -> 
     matrix[PAD_ID] = 0.0
 
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) <= 1 and not parts[0]:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != embed_dim:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {embed_dim} values, got {len(values)}"
-                )
-            if token not in vocab or token in seen:
-                continue
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-numeric embedding value") from exc
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{line_no}: non-finite embedding value")
-            idx = vocab.token_to_id[token]
-            matrix[idx] = vec
-            seen.add(token)
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        parts = line.rstrip("\r\n").split(" ")
+        if len(parts) <= 1 and not parts[0]:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != embed_dim:
+            raise ValueError(
+                f"{path}:{line_no}: expected {embed_dim} values, got {len(values)}"
+            )
+        if token not in vocab or token in seen:
+            continue
+        try:
+            vec = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: non-numeric embedding value") from exc
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}:{line_no}: non-finite embedding value")
+        idx = vocab.token_to_id[token]
+        matrix[idx] = vec
+        seen.add(token)
     return matrix
 
 
@@ -230,30 +237,26 @@ def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> list:
     """
     name = os.path.basename(path)
     rows = []
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for index, record in enumerate(reader):
-                line_no = reader.line_num
-                "".join(record).encode("utf-8")  # a surrogate, i.e. a byte not UTF-8, raises
-                needed = max(schema.label_col, *schema.text_cols)
-                if len(record) <= needed:
-                    raise ValueError(
-                        f"{path}:{line_no}: row has {len(record)} columns, need >= {needed + 1}"
-                    )
-                raw = record[schema.label_col]
-                try:
-                    label = int(raw) - schema.label_base
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: non-integer label {raw!r}") from exc
-                if label < 0:
-                    raise ValueError(f"{path}:{line_no}: label {raw!r} below label_base")
-                text = " ".join(record[c] for c in schema.text_cols)
-                rows.append((f"{name}:{index}", text, label))
-        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-        except UnicodeEncodeError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: bytes that are not UTF-8") from exc
+    reader = csv.reader(utf8_lines(path))
+    try:
+        for index, record in enumerate(reader):
+            line_no = reader.line_num
+            needed = max(schema.label_col, *schema.text_cols)
+            if len(record) <= needed:
+                raise ValueError(
+                    f"{path}:{line_no}: row has {len(record)} columns, need >= {needed + 1}"
+                )
+            raw = record[schema.label_col]
+            try:
+                label = int(raw) - schema.label_base
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: non-integer label {raw!r}") from exc
+            if label < 0:
+                raise ValueError(f"{path}:{line_no}: label {raw!r} below label_base")
+            text = " ".join(record[c] for c in schema.text_cols)
+            rows.append((f"{name}:{index}", text, label))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
 
 

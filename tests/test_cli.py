@@ -167,7 +167,7 @@ class TestPipeline:
         rows = load_csv_dataset(pipeline / "pool.csv", CsvSchema())
         labeled, _ = stratified_sample(rows, 3, seed=17)
         sets = [attach_teacher_logits(encode_dataset(r, vocab, model.seq_len), logits)
-                for r in (labeled, [(i, t, None) for i, t, _ in rows])]
+                for r in (labeled, rows)]
         state, _ = train_distill(init_model(model, 0), *sets,
                                  TrainConfig(mode=DISTILL_MAE, epochs=2))
         save_checkpoint(state, tmp_path / "library.ckpt")
@@ -362,6 +362,27 @@ class TestExitCodes:
                          "--set", "train.epochs=1", "--out", str(tmp_path / "run")])
         assert code == 4
         assert "glove.txt:2" in capsys.readouterr().err
+
+    # a token or value with a byte that is not UTF-8, in each text file a reader takes
+    @pytest.mark.parametrize("name, blob, line, args", [
+        ("vocab.tsv", b"<pad>\t0\n<unk>\t1\ncaf\xe9\t2\n", 3, lambda pipeline, path: [
+            "train", *TINY, "--set", f"data.vocab={path}",
+            "--set", f"data.train_csv={pipeline}/pool.csv"]),
+        ("glove.txt", b"market" + b" 0.1" * 8 + b"\ncaf\xe9" + b" 0.1" * 8 + b"\n", 2,
+         lambda pipeline, path: [
+             "train", *TINY, "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+             "--set", f"data.train_csv={pipeline}/pool.csv", "--set", f"data.embeddings={path}"]),
+        ("config.json", b'{"model.vocab_size": 100,\n "model.kind": "caf\xe9"}\n', 2,
+         lambda pipeline, path: ["param-count", "--config", path]),
+    ], ids=["vocab", "embeddings", "config"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, pipeline, tmp_path, capsys, name,
+                                                     blob, line, args):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        code = cli.main([*args(pipeline, str(path)), "--set", "train.epochs=1",
+                         "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert f"{path}:{line}: bytes that are not UTF-8" in capsys.readouterr().err
 
     def test_duplicate_logit_id_is_config_error(self, pipeline, tmp_path):
         lines = (pipeline / "logits_out" / "logits.jsonl").read_text().splitlines()
@@ -632,3 +653,39 @@ class TestCsvFileProperty:
         blob = (pipeline / "pool.csv").read_bytes()
         _exits_cleanly_on(_edit_bytes(blob, edits), "damaged.csv",
                           lambda path: ["build-vocab", "--set", f"data.train_csv={path}"])
+
+
+class TestVocabFileProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+    def test_a_damaged_vocabulary_exits_cleanly_and_is_named(self, pipeline, edits):
+        blob = (pipeline / "vocab_out" / "vocab.tsv").read_bytes()
+        _exits_cleanly_on(_edit_bytes(blob, edits), "damaged.tsv", lambda path: [
+            "train", *TINY, "--set", f"data.vocab={path}",
+            "--set", f"data.train_csv={pipeline}/pool.csv", "--set", "train.epochs=1"])
+
+
+class TestGloveFileProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+    def test_a_damaged_glove_file_exits_cleanly_and_is_named(self, pipeline, edits):
+        # one 8-value vector (TINY's model.embed_dim) per token of the pipeline's vocabulary
+        tokens = (pipeline / "vocab_out" / "vocab.tsv").read_text().split()[::2]
+        blob = "".join(f"{token} " + " ".join(f"{(i * 8 + j) % 19 / 50 - 0.2:.2f}"
+                                              for j in range(8)) + "\n"
+                       for i, token in enumerate(tokens)).encode()
+        _exits_cleanly_on(_edit_bytes(blob, edits), "damaged.txt", lambda path: [
+            "train", *TINY, "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+            "--set", f"data.train_csv={pipeline}/pool.csv", "--set", f"data.embeddings={path}",
+            "--set", "train.epochs=1"])
+
+
+class TestConfigFileProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+    def test_a_damaged_config_exits_cleanly_and_is_named(self, edits):
+        blob = json.dumps({"model.kind": "blendcnn", "model.vocab_size": 100,
+                           "model.n_layers": 2, "model.kernel_widths": [3, 5, 7],
+                           "model.dropout": 0.5, "train.lr": 0.001}, indent=1).encode()
+        _exits_cleanly_on(_edit_bytes(blob, edits), "damaged.json",
+                          lambda path: ["param-count", "--config", path])

@@ -288,6 +288,25 @@ class TestTrainDistill:
                  for pa, pb in zip(a.parameters(), b.parameters())]
         assert any(diffs)
 
+    def test_mixed_mode_never_reads_unlabeled_labels(self):
+        # CE covers the labeled argument alone: labels on the unlabeled rows change nothing
+        pool = with_logits(make_examples(16, seed=35), tiny_model(seed=36))
+        cfg = TrainConfig(mode=MIXED, alpha=0.5, epochs=2, seed=37)
+        blank = [replace(ex, label=None) for ex in pool[6:]]
+        a, _ = train_distill(tiny_model(seed=38), pool[:6], pool[6:], cfg)
+        b, _ = train_distill(tiny_model(seed=38), pool[:6], blank, cfg)
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            assert np.array_equal(pa.value, pb.value)
+
+    def test_mixed_mode_names_a_labeled_example_without_label(self, tmp_path):
+        pool = with_logits(make_examples(8, seed=39), tiny_model(seed=40))
+        pool[3] = replace(pool[3], label=None)
+        ckpt = tmp_path / "checkpoints"
+        with pytest.raises(ValueError, match="id='ex3'"):
+            train_distill(tiny_model(), pool[:5], pool[5:],
+                          TrainConfig(mode=MIXED, alpha=0.5, epochs=1), checkpoint_dir=ckpt)
+        assert not ckpt.exists()  # refused before any step
+
     def test_missing_teacher_logits_named(self):
         pool = make_examples(4, seed=34)
         with pytest.raises(ValueError, match="ex0"):

@@ -103,6 +103,16 @@ def test_change_side_failures_block_a_gain(ledger):
     assert sps["gain_shown"]  # one failure on each side, and 20/21 pairs won
 
 
+def test_fewer_than_ten_pairs_show_no_gain(ledger):
+    runs = []
+    for seed in range(1, 6):
+        runs += [run(ledger, "parent", seed, 100.0 + seed, 10.0),
+                 run(ledger, "change", seed, 200.0, 5.0)]
+    sps = ledger.merge(runs, ["parent", "change"], END_TO_END)["eval-desk"]["pairs"]["throughput_sps"]
+    assert (sps["pairs"], sps["wins"], sps["median_gap"], sps["base_iqr"]) == (5, 5, 97.0, 2.0)
+    assert not sps["gain_shown"]  # 5/5 won by a wide gap, but a gain needs 10 pairs
+
+
 def test_all_seeds_failed_on_one_side_still_reports_pairs(ledger):
     runs = [run(ledger, "parent", seed, 100.0, 10.0) for seed in (1, 2, 3)]
     runs += [{"workload": "eval-desk", "checkout": "change", "seed": seed, "error": "exit 1"}

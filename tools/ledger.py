@@ -4,7 +4,7 @@ Run from the repository root, with the base checkout first:
 
     python3 tools/ledger.py --out BENCH_10.json \\
         --checkout parent=../blendcnn-parent --checkout change=. \\
-        --runs eval-desk=10 --runs protocol-desk=3 --runs train-paper=3
+        --runs eval-desk=10 --runs protocol-desk=10 --runs train-paper=10
 
 Each run is one untraced ``perfbench/run.py --trace 0`` process started in
 its checkout, so every side measures its own ``src/`` with its own
@@ -81,9 +81,10 @@ def _compare(base_runs, change_runs, metric, better):
     return {
         "pairs": len(seeds), "wins": wins, "losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains), "median_gap": gap, "base_iqr": iqr,
-        # the gain rule: >= 9/10 of the pairs won, a gap wider than the base's
-        # IQR, and no more failed seeds than the base
-        "gain_shown": gap is not None and wins >= 0.9 * len(seeds) and sign * gap > iqr
+        # the gain rule: >= 10 pairs, >= 9/10 of them won, a gap wider than the
+        # base's IQR, and no more failed seeds than the base
+        "gain_shown": gap is not None and len(seeds) >= 10
+                      and wins >= 0.9 * len(seeds) and sign * gap > iqr
                       and len(change_failed) <= len(base_failed),
     }
 
