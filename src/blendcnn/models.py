@@ -34,6 +34,7 @@ from .numerics import (
     max_pool_backward,
     relu,
     relu_backward,
+    set_grad_rows,
 )
 from .text import PAD_ID
 
@@ -269,7 +270,8 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
     branches = []
     for stage in _layout(config).stages:
         x = conv_outputs[-1] if stage.reads_previous else embedded
-        h = relu(conv1d(x, state.param(stage.w).value, state.param(stage.b).value))
+        z = conv1d(x, state.param(stage.w).value, state.param(stage.b).value)
+        h = relu(z, out=z)  # z is fresh and read nowhere else
         conv_outputs.append(h)
         branches.append(masked_max_pool(h, lens))
 
@@ -304,12 +306,21 @@ def forward(state: ModelState, token_ids, valid_lens, train: bool = False,
 
 
 def _embedding_grad(state, ids, d_embedded):
-    """Overwrite the embedding's .grad with the scatter-sum of d_embedded."""
-    grad = state.param("embedding").grad
-    grad.fill(0.0)
-    flat = ids.reshape(-1)
-    keep = flat != PAD_ID  # the PAD row is frozen: its gradient stays zero
-    np.add.at(grad, flat[keep], d_embedded.reshape(flat.size, -1)[keep])
+    """Overwrite the embedding's .grad with the scatter-sum of d_embedded.
+
+    One ``np.bincount`` over (touched row, column) keys, in token order: the
+    same additions from +0.0 in the same order as ``np.add.at`` into zeros,
+    so the same bits, signed zeros included.  Only the touched rows are
+    written (``set_grad_rows``); the PAD row is frozen, so its sums are dropped.
+    """
+    dim = d_embedded.shape[-1]
+    rows, slot = np.unique(ids.reshape(-1), return_inverse=True)
+    keys = (slot[:, None] * dim + np.arange(dim)).reshape(-1)
+    sums = np.bincount(keys, weights=d_embedded.reshape(-1), minlength=rows.size * dim)
+    sums = sums.reshape(rows.size, dim)
+    if rows[0] == PAD_ID:  # the smallest id, so the first row if present
+        rows, sums = rows[1:], sums[1:]
+    set_grad_rows(state.param("embedding"), rows, sums)
 
 
 def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> None:
@@ -349,9 +360,7 @@ def backward(state: ModelState, cache: ForwardCache, dlogits: np.ndarray) -> Non
     for i, stage in reversed(list(enumerate(_layout(config).stages))):
         branch = slice(i * n_ch, (i + 1) * n_ch)
         d_h = max_pool_backward(cache.conv_outputs[i], cache.concat[:, branch],
-                                d_concat[:, branch])
-        if d_next is not None:
-            d_h = d_h + d_next
+                                d_concat[:, branch], d_next)
         d_z = relu_backward(cache.conv_outputs[i], d_h)
         x = cache.conv_outputs[i - 1] if stage.reads_previous else cache.embedded
         d_x, dw, db = conv1d_backward(x, state.param(stage.w).value, d_z)

@@ -6,8 +6,24 @@ analytic gradients, and ``grad_check`` validates any composition of them
 against central finite differences.
 
 Every function leaves its inputs as it found them and returns fresh
-arrays, except ``adam_step``, which updates its Parameter in place.  The one
-piece of hidden state is a per-thread im2col buffer: ``conv1d`` and
+arrays, except ``relu`` given ``out=``, ``set_grad_rows``, which writes a
+Parameter's gradient, and ``adam_step``, which updates its Parameter in
+place.
+
+Row tracking.  A row (first-axis slice) of a Parameter whose gradient, m
+and v are all +0.0 is a fixed point of Adam's update: m and v stay +0.0 and
+the value moves by exactly +0.0.  So a Parameter whose gradient is written
+through ``set_grad_rows`` from its first step on, as the embedding's is,
+records every row that function has written, and ``adam_step`` runs its
+unchanged operations over those rows alone, with bitwise the dense result.  Gathering
+and scattering rows costs about twice the dense pass per element, so once
+more than half the table has been touched the Parameter drops its record
+and is updated dense from then on.  ``adam_step`` does not look for zero
+rows itself: that would read the gradient and both moments in full every
+step, which is most of what the record saves.  The record holds only while
+the gradient is written through ``set_grad_rows`` alone.
+
+The one piece of hidden state is a per-thread im2col buffer: ``conv1d`` and
 ``conv1d_backward`` copy their input into a zero-padded [B, L+2p, Cin] part
 of it and read the windows into a [B*L, K*Cin] columns part, in place of
 fresh arrays on every call (``conv1d_backward`` then reuses the columns for
@@ -38,6 +54,7 @@ __all__ = [
     "cross_entropy_backward",
     "mae_loss",
     "mae_loss_backward",
+    "set_grad_rows",
     "adam_step",
     "grad_check",
 ]
@@ -47,9 +64,13 @@ __all__ = [
 # orders, which would break bitwise row-equality for identical batch rows.
 _NARROW_OUT = 16
 
-# adam_step works through each parameter in flat slices of this many
+# adam_step works through each parameter in blocks of about this many
 # elements, so its temporaries stay small however large the parameter is.
 _ADAM_SLICE = 1 << 15
+
+# the largest double whose square is finite (the next one up squares to inf):
+# adam_step refuses a gradient entry of greater magnitude
+_GRAD_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 # Adam's decay rates and denominator offset: the defaults of Kingma & Ba,
 # "Adam: A Method for Stochastic Optimization" (ICLR 2015)
@@ -60,7 +81,8 @@ _scratch = threading.local()
 
 
 class NonFiniteError(ValueError):
-    """A NaN or Inf appeared where finite values are required."""
+    """A NaN or Inf appeared, or a square would overflow to one, where finite
+    values are required."""
 
 
 @dataclass
@@ -71,6 +93,15 @@ class Parameter:
     C-contiguous, and ``grad``, ``m`` and ``v`` start as zeros of its shape,
     so a flat view of each is the array itself.  ``step`` counts optimizer
     updates applied to this parameter.
+
+    ``live_rows`` and ``grad_rows`` are the row record (module docstring):
+    None for a Parameter updated dense, else the sorted rows where the
+    gradient or a moment may be nonzero, and the rows ``set_grad_rows``
+    wrote last.  Every other row is a fixed point of Adam, so ``adam_step``
+    skips it.  Only ``set_grad_rows`` starts a record, and only before the
+    first step, while m and v are still the zeros they were made as; it
+    drops the record past half the rows.  While a record is kept, write the
+    gradient only through ``set_grad_rows``.
     """
 
     name: str
@@ -79,6 +110,8 @@ class Parameter:
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
     step: int = field(init=False, default=0)
+    live_rows: np.ndarray = field(init=False, default=None, repr=False)
+    grad_rows: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64, order="C")
@@ -194,8 +227,9 @@ def conv1d_backward(x, kernels, dout):
     return dxp[:, pad : pad + length, :], dkernels, dbias
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """max(x, 0) elementwise; ``out=x`` applies it in place."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x, dout):
@@ -220,8 +254,8 @@ def masked_max_pool(x: np.ndarray, valid_lens: np.ndarray) -> np.ndarray:
     return np.max(x, axis=1, where=mask[:, :, None], initial=-np.inf)
 
 
-def max_pool_backward(x, pooled, dout):
-    """Scatter dout[B, C] to each channel's winner in the pooled input x[B, L, C].
+def max_pool_backward(x, pooled, dout, d_x=None):
+    """Gradient wrt the pooled input x[B, L, C]: dout[B, C] at each channel's winner.
 
     ``pooled`` must come from :func:`masked_max_pool` over this same ``x``
     and some valid lengths.  The winner is the first position equal to
@@ -229,13 +263,23 @@ def max_pool_backward(x, pooled, dout):
     NaN-pooled channel to its first NaN, as an argmax over the valid prefix
     picks.  No lengths are needed: some valid position attains the prefix
     max (or holds the first NaN), and every position before it is valid.
+
+    ``d_x`` [B, L, C], when given, is the gradient that already reaches x
+    by another path (a chained stage's from the stage after it).  The result
+    is then ``zeros-scatter + d_x`` bit for bit, built in one fresh array:
+    ``d_x + 0.0`` (which turns -0.0 into +0.0, as adding to the zeros did)
+    with ``dout + d_x`` at each winner.  ``d_x`` itself is left unchanged.
     """
     hit = x == pooled[:, None, :]
     if np.isnan(pooled).any():  # NaN == NaN is False
         hit |= np.isnan(x)
-    dx = np.zeros(x.shape)
-    np.put_along_axis(dx, hit.argmax(axis=1)[:, None, :], dout[:, None, :], axis=1)
-    return dx
+    win = hit.argmax(axis=1)[:, None, :]
+    if d_x is None:
+        out, at_win = np.zeros(x.shape), dout[:, None, :]
+    else:
+        out, at_win = d_x + 0.0, dout[:, None, :] + np.take_along_axis(d_x, win, axis=1)
+    np.put_along_axis(out, win, at_win, axis=1)
+    return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -286,6 +330,30 @@ def mae_loss_backward(student, teacher):
     return np.sign(student - teacher) / student.size
 
 
+def set_grad_rows(p: Parameter, rows: np.ndarray, values: np.ndarray) -> None:
+    """Overwrite ``p.grad`` with ``values`` at the distinct ``rows``, zeros elsewhere.
+
+    ``values`` is [len(rows), ...] in the shape of p's rows.  A Parameter
+    with a row record zeroes only the rows this function wrote last time;
+    one without zeroes its whole gradient, and starts a record if it has not
+    stepped yet.  The record is dropped once it holds more than half the
+    rows, and the Parameter is updated dense from then on.
+    """
+    grad = p.grad
+    if p.live_rows is not None:
+        grad[p.grad_rows] = 0.0
+    else:
+        grad.fill(0.0)
+        if p.step == 0:  # m and v are the zeros they were made as
+            p.live_rows = np.zeros(0, dtype=np.intp)
+    grad[rows] = values
+    if p.live_rows is not None:
+        p.grad_rows = np.asarray(rows, dtype=np.intp)
+        p.live_rows = np.union1d(p.live_rows, p.grad_rows)
+        if 2 * p.live_rows.size > len(grad):
+            p.live_rows = p.grad_rows = None
+
+
 def adam_step(p: Parameter, lr: float) -> Parameter:
     """One Adam update with bias correction; zeroes p.grad afterwards.
 
@@ -293,33 +361,54 @@ def adam_step(p: Parameter, lr: float) -> Parameter:
         value <- value - lr * m_hat / (sqrt(v_hat) + eps)
 
     with b1 = 0.9, b2 = 0.999 and eps = 1e-8, and a constant learning rate.
-    Updates in place, over flat slices of ``_ADAM_SLICE`` elements, with
-    slice-sized scratch buffers: nothing full-size is allocated, and every
+    Updates in place, over blocks of about ``_ADAM_SLICE`` elements, with
+    block-sized scratch buffers: nothing full-size is allocated, and every
     element goes through the same operations in the same order as the
-    whole-array formula, so the result is bitwise the same.
+    whole-array formula, so the result is bitwise the same.  The blocks are
+    flat slices of the whole parameter, or, for a Parameter with a row
+    record (module docstring), gathered chunks of its live rows, whose
+    results are scattered back; the rows outside the record have +0.0
+    gradient and moments, a fixed point of the update, and are not read.
+    Past half the rows the record is gone and the update runs dense, where
+    gathering would cost more than it saves.  It does not look for zero
+    rows itself, which would read all three arrays in full every step.
 
     Raises ValueError on a non-positive or NaN ``lr``, and NonFiniteError
-    (naming the parameter) on a NaN/Inf gradient, before anything is written.
+    (naming the parameter) on a gradient entry that is NaN, infinite or
+    above ``_GRAD_MAX`` in magnitude, whose square would overflow v.  It
+    checks every entry that can be nonzero before anything is written.
     """
     if not lr > 0:  # also refuses NaN
         raise ValueError(f"lr must be positive, got {lr}")
     arrays = (p.value, p.grad, p.m, p.v)
     if not all(a.flags.c_contiguous for a in arrays):
         raise ValueError(f"parameter '{p.name}': buffers must be C-contiguous")
-    value, grad, m, v = (a.reshape(-1) for a in arrays)
-    slices = [slice(i, i + _ADAM_SLICE) for i in range(0, value.size, _ADAM_SLICE)]
-    n = min(value.size, _ADAM_SLICE)
+    rows = p.live_rows
+    if rows is None:
+        value, grad, m, v = (a.reshape(-1) for a in arrays)
+        parts = checked = [slice(i, i + _ADAM_SLICE) for i in range(0, value.size, _ADAM_SLICE)]
+        n = min(value.size, _ADAM_SLICE)
+    else:
+        value, grad, m, v = (a.reshape(len(a), -1) for a in arrays)
+        per = max(1, _ADAM_SLICE // value.shape[1])
+        parts = [rows[i : i + per] for i in range(0, rows.size, per)]
+        # the gradient is zero off the rows set_grad_rows wrote last
+        checked = [p.grad_rows[i : i + per] for i in range(0, p.grad_rows.size, per)]
+        n = min(rows.size, per) * value.shape[1]
+    num, den = np.empty(n), np.empty(n)
     flags = np.empty(n, dtype=bool)
-    for s in slices:
-        g = grad[s]
-        if not np.isfinite(g, out=flags[: g.size]).all():
-            raise NonFiniteError(f"non-finite gradient for parameter '{p.name}'")
+    for part in checked:
+        g = grad[part].reshape(-1)
+        # NaN fails the comparison too
+        if not np.less_equal(np.abs(g, out=num[: g.size]), _GRAD_MAX, out=flags[: g.size]).all():
+            raise NonFiniteError(f"non-finite gradient for parameter '{p.name}' "
+                                 f"(NaN, inf, or |g| > {_GRAD_MAX:.5g}, whose square overflows)")
     p.step += 1
     b1, b2 = _BETA1, _BETA2
     c1, c2 = 1.0 - b1**p.step, 1.0 - b2**p.step
-    num, den = np.empty(n), np.empty(n)
-    for s in slices:
-        g, ms, vs = grad[s], m[s], v[s]
+    for part in parts:
+        blocks = value[part], grad[part], m[part], v[part]
+        xs, g, ms, vs = (blk.reshape(-1) for blk in blocks)
         a, b = num[: g.size], den[: g.size]
         ms *= b1
         ms += np.multiply(1.0 - b1, g, out=a)
@@ -328,8 +417,13 @@ def adam_step(p: Parameter, lr: float) -> Parameter:
         np.multiply(lr, np.divide(ms, c1, out=a), out=a)
         np.sqrt(np.divide(vs, c2, out=b), out=b)
         b += _EPS
-        value[s] -= np.divide(a, b, out=a)
-        g[...] = 0.0
+        xs -= np.divide(a, b, out=a)
+        if rows is None:
+            g[...] = 0.0
+        else:  # the blocks are gathered copies: put them back
+            value[part], m[part], v[part] = blocks[0], blocks[2], blocks[3]
+    if rows is not None:
+        grad[p.grad_rows] = 0.0
     return p
 
 

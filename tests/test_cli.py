@@ -464,6 +464,22 @@ class TestExitCodes:
         assert "numeric error" in proc.stderr
         assert "non-finite gradient" in proc.stderr
 
+    def test_gradient_whose_square_overflows_is_numeric_error(self, pipeline, tmp_path):
+        # finite but absurd GloVe values give finite gradients whose squares
+        # overflow Adam's v; the step must refuse them, not train on inf
+        (tmp_path / "glove.txt").write_text("market " + " ".join(["1e200"] * 8) + "\n")
+        proc = run_cli(["train", *TINY,
+                        "--set", f"data.vocab={pipeline}/vocab_out/vocab.tsv",
+                        "--set", f"data.train_csv={pipeline}/pool.csv",
+                        "--set", "data.embeddings=glove.txt",
+                        "--set", "train.epochs=1", "--out", "run"], tmp_path)
+        assert proc.returncode == 5, proc.stderr
+        assert re.search(r"numeric error: non-finite gradient for parameter '[a-z0-9.]+'",
+                         proc.stderr), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr + proc.stdout
+        written = [name for _, _, files in os.walk(tmp_path / "run") for name in files]
+        assert written == ["config.json"]
+
 
 class TestHelp:
     def test_every_subcommand_has_a_description(self, tmp_path, monkeypatch):

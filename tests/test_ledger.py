@@ -79,6 +79,10 @@ def test_merge_gives_quartiles_and_seed_paired_wins(ledger):
     assert (p50["median_gap"], p50["base_iqr"]) == (-2.0, 0.0)
     assert not p50["gain_shown"]
     assert merged["digests_equal"] is False  # seed 6 failed on one side only
+    # a ratio for each seed both sides measured; none for the failed seed 6
+    assert sps["ratios"] == {str(s): c / b for s, (b, c)
+                             in enumerate(zip(base_sps, change_sps), start=1)}
+    assert p50["ratios"] == {str(s): 0.8 for s in range(1, 6)}
 
 
 def test_change_side_failures_block_a_gain(ledger):
@@ -119,7 +123,7 @@ def test_all_seeds_failed_on_one_side_still_reports_pairs(ledger):
              for seed in (1, 2, 3)]
     sps = ledger.merge(runs, ["parent", "change"], END_TO_END)["eval-desk"]["pairs"]["throughput_sps"]
     assert (sps["pairs"], sps["wins"], sps["losses"], sps["median_gap"]) == (3, 0, 3, None)
-    assert not sps["gain_shown"]
+    assert not sps["gain_shown"] and sps["ratios"] == {}
 
 
 def test_one_checkout_has_no_pairs(ledger):

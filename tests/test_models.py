@@ -337,6 +337,46 @@ class TestBackward:
         grad = state.param("embedding").grad
         np.testing.assert_array_equal(grad, np.repeat(counts[:, None], cfg.embed_dim, axis=1))
 
+    def test_embedding_grad_bitwise_equals_add_at(self):
+        """The bincount sums are np.add.at's into zeros, signed zeros included."""
+        cfg = tiny_config(vocab_size=30, embed_dim=4)
+        state = init_model(cfg, seed=29)
+        rng = np.random.default_rng(30)
+        for _ in range(3):  # each call also zeroes the rows the call before wrote
+            ids = rng.integers(0, 8, size=(3, cfg.seq_len))  # repeats, and PAD ids
+            ids[0, :4] = [5, 5, 6, PAD_ID]
+            d_embedded = rng.normal(size=ids.shape + (cfg.embed_dim,))
+            d_embedded[ids == 7] = -0.0  # 0.0 + -0.0 is +0.0
+            d_embedded[0, 1] = -d_embedded[0, 0]  # row 5 cancels to exactly zero
+            want = np.zeros((cfg.vocab_size, cfg.embed_dim))
+            keep = ids.reshape(-1) != PAD_ID
+            np.add.at(want, ids.reshape(-1)[keep],
+                      d_embedded.reshape(-1, cfg.embed_dim)[keep])
+            models._embedding_grad(state, ids, d_embedded)
+            assert state.param("embedding").grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["blendcnn", "kimcnn"])
+    def test_repeated_backward_leaves_the_same_grad_bytes(self, kind):
+        """backward run again without a step, as grad_check runs it, writes the same bytes."""
+        cfg = tiny_config(kind=kind, vocab_size=1000)
+        state = init_model(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        for step in range(3):  # the last pass runs on a stepped, row-tracked embedding
+            ids, lens = random_batch(rng, cfg, 4)
+            other = random_batch(rng, cfg, 4)
+            logits, cache = forward(state, ids, lens)
+            dlogits = rng.normal(size=logits.shape)
+            backward(state, cache, dlogits)
+            once = [p.grad.tobytes() for p in state.parameters()]
+            logits, other_cache = forward(state, *other)
+            backward(state, other_cache, rng.normal(size=logits.shape))
+            backward(state, cache, dlogits)
+            assert [p.grad.tobytes() for p in state.parameters()] == once
+            assert state.param("embedding").live_rows is not None
+            for p in state.parameters():
+                adam_step(p, 1e-2)
+            state.bump_version()
+
     def test_stale_cache_rejected(self):
         cfg = tiny_config()
         state = init_model(cfg, seed=17)
@@ -345,6 +385,42 @@ class TestBackward:
         state.bump_version()
         with pytest.raises(StaleCacheError):
             backward(state, cache, np.ones_like(logits))
+
+
+class TestEmbeddingRowPath:
+    """A row-tracked embedding trains to the bytes of one updated dense."""
+
+    @pytest.mark.parametrize("kind", ["blendcnn", "kimcnn"])
+    @pytest.mark.parametrize("shape", ["stays_tracked", "crosses_half"])
+    def test_training_matches_a_dense_twin(self, kind, shape):
+        cfg = tiny_config(kind=kind, vocab_size=2000, dropout=0.5)
+        state = init_model(cfg, seed=33)
+        emb = state.param("embedding")
+        twin = Parameter("embedding", emb.value.copy())  # written directly: updated dense
+        rng = np.random.default_rng(34)
+        tracked = []
+        for step in range(14):
+            if shape == "stays_tracked":
+                pool = np.arange(100, 140)  # 40 rows of 2,000
+            else:  # 130 fresh rows a step: past half the table after about ten
+                pool = np.arange(2 + 130 * step, 2 + 130 * (step + 1))
+            lens = rng.integers(cfg.seq_len // 2, cfg.seq_len + 1, size=24)
+            ids = np.where(np.arange(cfg.seq_len) < lens[:, None],
+                           rng.choice(pool, size=(24, cfg.seq_len)), PAD_ID)
+            logits, cache = forward(state, ids, lens, train=True, rng=rng)
+            backward(state, cache, rng.normal(size=logits.shape))
+            tracked.append(emb.live_rows is not None)
+            twin.grad[...] = emb.grad
+            adam_step(twin, 1e-2)
+            for p in state.parameters():
+                adam_step(p, 1e-2)
+            state.bump_version()
+            for got, want in ((emb.value, twin.value), (emb.m, twin.m), (emb.v, twin.v)):
+                assert got.tobytes() == want.tobytes(), step
+        if shape == "stays_tracked":
+            assert all(tracked)
+        else:
+            assert tracked[0] and not tracked[-1]
 
 
 class TestParamCount:

@@ -23,6 +23,7 @@ from blendcnn.numerics import (
     max_pool_backward,
     relu,
     relu_backward,
+    set_grad_rows,
     softmax,
 )
 
@@ -351,6 +352,41 @@ class TestReluAndPool:
         np.testing.assert_array_equal(max_pool_backward(x, pooled, dout), want_dx)
 
 
+    def test_relu_in_place(self):
+        x = np.array([-1.0, -0.0, 0.0, 2.0, np.nan])
+        want = relu(x)
+        assert relu(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["relu", "repeated", "nan"])
+    def test_chained_pool_backward_bitwise_equals_scatter_plus_add(self, case):
+        """The gradient from the next stage, passed in, gives zeros-scatter + d_x."""
+        rng = np.random.default_rng(11)
+        batch, length, channels = 6, 9, 5
+        if case == "repeated":  # ties: most channels hold their max more than once
+            x = rng.integers(-2, 3, size=(batch, length, channels)).astype(float)
+        else:
+            x = relu(rng.normal(size=(batch, length, channels)))
+            x[:, :, 0] = 0.0  # a relu-zero winner: every position ties at 0
+        if case == "nan":
+            x[2, 1, 1] = x[2, 3, 1] = np.nan
+            x[4, 0, :] = np.nan
+        lens = np.array([1, length, 4, 5, length, 2])
+        pooled = masked_max_pool(x, lens)
+        # signed zeros in both inputs: -0.0 + -0.0 stays -0.0 at a winner, and
+        # 0.0 + -0.0 is +0.0 elsewhere
+        dout = rng.normal(size=(batch, channels))
+        dout[:, ::2] = -0.0
+        d_x = np.where(rng.random(x.shape) < 0.5, -0.0, rng.normal(size=x.shape))
+        d_x[:, 0, :] = -0.0  # position 0 wins every tied relu-zero channel
+        kept = d_x.copy()
+        want = max_pool_backward(x, pooled, dout) + d_x
+        assert (np.signbit(want) & (want == 0.0)).any()  # a -0.0 survives
+        got = max_pool_backward(x, pooled, dout, d_x)
+        assert got.tobytes() == want.tobytes()
+        assert d_x.tobytes() == kept.tobytes()
+
+
 class TestSoftmaxAndLosses:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
@@ -535,6 +571,105 @@ class TestAdam:
         assert p.value.dtype == np.float64 and p.step == 0
         for buf in (p.grad, p.m, p.v):
             assert buf.shape == (2, 2) and not buf.any() and buf.flags.c_contiguous
+
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_gradient_whose_square_overflows_is_refused(self, tracked):
+        """|g| above sqrt(float max) squares to inf: refused before anything is written."""
+        def write(p, value):
+            grad_rows = np.full((2, 3), 0.5)
+            grad_rows[1, 2] = value
+            if tracked:
+                set_grad_rows(p, np.array([1, 3]), grad_rows)
+            else:
+                p.grad[[1, 3]] = grad_rows
+            assert (p.live_rows is not None) == tracked
+
+        p = Parameter("table", np.arange(15.0).reshape(5, 3))
+        write(p, -1e155)
+        before = [f.copy() for f in (p.value, p.m, p.v)]
+        with pytest.raises(NonFiniteError, match="'table'"):
+            adam_step(p, 1e-3)
+        for got, expected in zip((p.value, p.m, p.v), before):
+            assert got.tobytes() == expected.tobytes()
+        assert p.step == 0
+
+        write(p, -1e154)
+        with np.errstate(all="raise"):  # no overflow anywhere in the update
+            adam_step(p, 1e-3)
+        assert p.step == 1 and np.isfinite(p.v).all() and p.v[3, 2] > 0
+
+    def test_limit_is_the_largest_double_that_squares_finite(self):
+        limit = numerics._GRAD_MAX
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.square(limit))
+            assert np.isinf(np.square(np.nextafter(limit, np.inf)))
+
+
+def step_with_dense_twin(p, twin, lr=1e-2):
+    """Adam on ``p`` and on ``twin`` fed a copy of p's gradient; their bytes must agree."""
+    twin.grad[...] = p.grad
+    adam_step(twin, lr)
+    adam_step(p, lr)
+    for got, want in zip(adam_fields(p), adam_fields(twin)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestRowRecord:
+    def test_set_grad_rows_writes_rows_and_zeros_elsewhere(self):
+        p = Parameter("table", np.ones((6, 2)))
+        p.grad[...] = 7.0  # left over from a direct write before the first step
+        set_grad_rows(p, np.array([1, 4]), np.array([[1.0, -0.0], [2.0, 3.0]]))
+        want = np.zeros((6, 2))
+        want[1], want[4] = [1.0, -0.0], [2.0, 3.0]
+        assert p.grad.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(p.live_rows, [1, 4])
+        # the next write zeroes the rows the last one wrote
+        set_grad_rows(p, np.array([2]), np.array([[5.0, 5.0]]))
+        want[:] = 0.0
+        want[2] = 5.0
+        assert p.grad.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(p.live_rows, [1, 2, 4])
+        np.testing.assert_array_equal(p.grad_rows, [2])
+
+    def test_record_starts_only_before_the_first_step(self):
+        p = Parameter("table", np.ones((6, 2)))
+        p.grad[2] = 1.0
+        adam_step(p, 1e-3)  # m and v of row 2 are nonzero now
+        set_grad_rows(p, np.array([1]), np.ones((1, 2)))
+        assert p.live_rows is None
+        adam_step(p, 1e-3)
+        assert p.m[2].all()  # updated dense
+
+    def test_record_is_dropped_past_half_the_rows(self):
+        p = Parameter("table", np.ones((6, 2)))
+        set_grad_rows(p, np.array([0, 1, 2]), np.ones((3, 2)))
+        assert p.live_rows is not None  # half: kept
+        set_grad_rows(p, np.array([5]), np.ones((1, 2)))
+        assert p.live_rows is None and p.grad_rows is None
+        want = np.zeros((6, 2))
+        want[5] = 1.0
+        assert p.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [40, 160])
+    def test_row_path_bitwise_equals_dense(self, window):
+        """Rows drawn from a sliding window: a window of 40 of 2,000 rows keeps
+        the record, 160 crosses half the table mid-run and goes dense."""
+        rng = np.random.default_rng(32)
+        n_rows, width = 2000, 40  # 819 rows per gathered block: two blocks before half
+        p = Parameter("table", rng.normal(size=(n_rows, width)))
+        twin = Parameter("table", p.value.copy())
+        tracked = []
+        for step in range(12):
+            lo = (step * window) % (n_rows - window)
+            rows = np.unique(rng.integers(lo, lo + window, size=window))
+            grad_rows = rng.normal(size=(rows.size, width))
+            grad_rows[:, 0] = -0.0
+            set_grad_rows(p, rows, grad_rows)
+            tracked.append(p.live_rows is not None)
+            step_with_dense_twin(p, twin)
+        assert all(tracked) if window == 40 else tracked[0] and not tracked[-1]
+        assert not p.grad.any()
 
 
 class TestGradCheck:

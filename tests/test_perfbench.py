@@ -3,7 +3,8 @@
 It wraps functions where callers look them up (``distill.train_direct``,
 ``models.ModelState.bump_version``, ...), so renaming or inlining one of them
 breaks the benchmark without breaking any other test.  These checks keep every
-wrapped name resolvable and the shortest benchmark run passing.
+wrapped name resolvable and the shortest protocol-desk and train-paper runs
+passing.
 """
 import importlib.util
 import json
@@ -40,18 +41,32 @@ def test_every_wrapped_name_resolves(tracing):
     assert not missing
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_shortest_protocol_run_is_correct(trace):
+def shortest_run(workload, trace):
+    """The last line of a one-second perfbench run, parsed; it must be correct."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", "protocol-desk",
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout
+    return result
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_shortest_protocol_run_is_correct(trace):
+    result = shortest_run("protocol-desk", trace)
     if trace:
         # the protocol's own calls went through the wrappers
         for name in ("distill.make_surrogate_teacher", "distill.train_distill",
                      "distill.infer_logits", "distill.evaluate"):
             assert result["metrics"][f"{name}.calls"]["value"] >= 1, name
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_shortest_train_paper_run_is_correct(trace):
+    """The paper-shape training run: the only one whose embedding Adam takes tracked rows."""
+    result = shortest_run("train-paper", trace)
+    if trace:
+        assert result["metrics"]["numerics.adam_step.embedding.calls"]["value"] >= 1

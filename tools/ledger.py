@@ -14,8 +14,10 @@ to back, and which one runs first alternates from seed to seed.  The ledger keep
 metrics, digest, environment line, git sha and load average) and, per
 workload and checkout, the median, quartiles and run count of each metric.
 With two checkouts it adds, per end-to-end metric of ``BENCHMARK.json``, the
-pairs won, lost and tied by the second checkout, its median gap and the
-first checkout's interquartile range.  Only the standard library is used.
+pairs won, lost and tied by the second checkout, each pair's change/base
+ratio by seed, its median gap and the first checkout's interquartile range.
+Each run prints a progress line with its ``throughput_sps`` and
+``batch_ms.p50``.  Only the standard library is used.
 """
 from __future__ import annotations
 
@@ -81,6 +83,9 @@ def _compare(base_runs, change_runs, metric, better):
     return {
         "pairs": len(seeds), "wins": wins, "losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains), "median_gap": gap, "base_iqr": iqr,
+        # change/base per seed that both sides measured, to read a margin pair by pair
+        "ratios": {str(s): change[s] / base[s] if base[s] else None
+                   for s in seeds if s in base and s in change},
         # the gain rule: >= 10 pairs, >= 9/10 of them won, a gap wider than the
         # base's IQR, and no more failed seeds than the base
         "gain_shown": gap is not None and len(seeds) >= 10
@@ -184,9 +189,11 @@ def main(argv=None):
                 record = run_one(path, workload, seed, seconds)
                 record["checkout"] = label
                 runs.append(record)
-                value = record.get("metrics", {}).get("throughput_sps")
-                print(f"{workload} seed={seed} {label}: "
-                      f"{record.get('error') or f'throughput_sps {value:.1f}'}", flush=True)
+                metrics = record.get("metrics", {})
+                shown = " ".join(f"{name} {metrics[name]:.1f}"
+                                 for name in ("throughput_sps", "batch_ms.p50") if name in metrics)
+                print(f"{workload} seed={seed} {label}: {record.get('error') or shown}",
+                      flush=True)
     ledger = {
         "seconds": seconds,
         "checkouts": {label: _describe(path) for label, path in checkouts},
